@@ -844,15 +844,12 @@ fn scale(args: &Args) {
         let mut verified_threads = Vec::new();
         if n <= FULL_DECODE_CAP {
             for &t in &check_threads {
-                let dicts = param_codec::decode_concat_threaded(
-                    &mapped_view,
-                    n,
-                    &layer_names,
-                    &layer_sizes,
-                    t,
-                )
+                let dicts = mmm_util::parallel::try_map(t, n, |i| {
+                    let record = &mapped_view[i * model_bytes..][..model_bytes];
+                    Ok(param_codec::decode_concat(record, 1, &layer_names, &layer_sizes)?.remove(0))
+                })
                 .expect("threaded decode");
-                let bytes = param_codec::encode_concat_threaded(&dicts, t).expect("re-encode");
+                let bytes = param_codec::encode_concat(&dicts).expect("re-encode");
                 assert_eq!(
                     xxhash64(&bytes, 0),
                     save_hash,

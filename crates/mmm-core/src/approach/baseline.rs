@@ -11,14 +11,13 @@
 //! O3 (write overhead — a constant number of store round-trips instead of
 //! `Θ(n)`), while every set remains independently recoverable.
 
-use crate::approach::common;
+use crate::approach::common::{self, FullSnapshot};
 use crate::approach::ModelSetSaver;
-use crate::commit;
 use crate::env::ManagementEnv;
 use crate::model_set::{Derivation, ModelSet, ModelSetId};
-use crate::param_codec::{self, encode_concat_threaded};
+use crate::param_codec;
 use mmm_dnn::{ArchitectureSpec, ParamDict};
-use mmm_util::{Error, Result};
+use mmm_util::Result;
 
 /// Saver implementing the Baseline approach. Stateless.
 #[derive(Debug, Default, Clone)]
@@ -34,34 +33,17 @@ impl BaselineSaver {
     /// in memory: `model_fn(i, buf)` appends model `i`'s concat record
     /// (see [`param_codec::append_model_record`]) and the blob streams
     /// to the store in [`ManagementEnv::stream_chunk_bytes`] chunks —
-    /// peak staging memory is one chunk regardless of `n_models`. The
-    /// stored artifacts are identical to [`ModelSetSaver::save_set`] of
-    /// the materialized set, so any recovery path can read them back.
+    /// peak staging memory is one chunk regardless of `n_models`. This
+    /// is the whole of Baseline's save: [`ModelSetSaver::save_set`] is
+    /// this function fed from the set's slice of models.
     pub fn save_streamed(
         &mut self,
         env: &ManagementEnv,
         arch: &ArchitectureSpec,
         n_models: usize,
-        mut model_fn: impl FnMut(usize, &mut Vec<u8>) -> Result<()>,
+        model_fn: impl FnMut(usize, &mut Vec<u8>) -> Result<()>,
     ) -> Result<ModelSetId> {
-        let doc = common::full_set_doc(self.name(), arch, n_models)?;
-        let doc_id = {
-            let _span = env.obs().span("doc_insert");
-            env.with_retry(|| env.docs().insert(common::SETS_COLLECTION, doc.clone()))?
-        };
-        let per_model = param_codec::per_model_params(&arch.parametric_layer_sizes())?;
-        let model_bytes = param_codec::concat_blob_len(per_model, 1)?;
-        let key = common::params_key(self.name(), doc_id);
-        {
-            let _span = env.obs().span("stream_put");
-            let mf = &mut model_fn;
-            env.with_retry(|| {
-                common::put_params_streamed(env, &key, n_models, model_bytes, |i, buf| mf(i, buf))
-            })?;
-        }
-        let id = ModelSetId { approach: self.name().into(), key: doc_id.to_string() };
-        commit::commit_save(env, &id)?;
-        Ok(id)
+        common::save_full_snapshot(env, self.name(), arch, n_models, &[], model_fn, |_| Ok(()))
     }
 
     /// Visit every model of a saved set one at a time (in index order)
@@ -69,38 +51,31 @@ impl BaselineSaver {
     /// read as a zero-copy mapping and decoded model by model, so peak
     /// memory during recovery is one model. Each visited dict is
     /// identical to the corresponding element of
-    /// [`ModelSetSaver::recover_set`]'s result.
+    /// [`ModelSetSaver::recover_set`]'s result, which reads the same
+    /// mapping and differs only in collecting the decoded records.
     pub fn recover_visit(
         &self,
         env: &ManagementEnv,
         id: &ModelSetId,
         visit: impl FnMut(usize, ParamDict) -> Result<()>,
     ) -> Result<()> {
-        if id.approach != self.name() {
-            return Err(Error::invalid(format!(
-                "baseline cannot recover a {:?} set",
-                id.approach
-            )));
-        }
-        commit::require_committed(env, id)?;
+        let full = self.open(env, id)?;
+        let blob = full.map(env)?;
+        let _span = env.obs().span("decode");
+        let (names, sizes) = (&full.layer_names, &full.layer_sizes);
+        param_codec::decode_concat_visit(&blob, full.n_models, names, sizes, visit)
+    }
+
+    /// Guard, then fetch and parse the set document. Every Baseline set
+    /// is a full snapshot, so there is no chain to walk.
+    fn open(&self, env: &ManagementEnv, id: &ModelSetId) -> Result<FullSnapshot> {
+        common::guard(env, self.name(), id)?;
         let doc_id = common::doc_id_of(id)?;
         let doc = {
             let _span = env.obs().span("doc_get");
             env.docs().get(common::SETS_COLLECTION, doc_id)?
         };
-        let (arch, n_models) = common::parse_full_doc(&doc)?;
-        let blob = {
-            let _span = env.obs().span("blob_get");
-            env.blobs().get_mapped(&common::params_key(self.name(), doc_id))?
-        };
-        let _span = env.obs().span("decode");
-        param_codec::decode_concat_visit(
-            &blob,
-            n_models,
-            &arch.parametric_layer_names(),
-            &arch.parametric_layer_sizes(),
-            visit,
-        )
+        FullSnapshot::open(self.name(), doc_id, &doc)
     }
 }
 
@@ -109,67 +84,20 @@ impl ModelSetSaver for BaselineSaver {
         "baseline"
     }
 
+    /// Baseline treats every set as self-contained: derived sets are
+    /// saved exactly like initial ones (its storage is flat across use
+    /// cases — Figure 3).
     fn save_set(
         &mut self,
         env: &ManagementEnv,
         set: &ModelSet,
         _derivation: Option<&Derivation>,
     ) -> Result<ModelSetId> {
-        // Baseline treats every set as self-contained: derived sets are
-        // saved exactly like initial ones (its storage is flat across use
-        // cases — Figure 3). Phase one: set document + params blob;
-        // phase two: the commit record that makes the save visible.
-        let doc = common::full_set_doc(self.name(), &set.arch, set.len())?;
-        let doc_id = {
-            let _span = env.obs().span("doc_insert");
-            env.with_retry(|| env.docs().insert(common::SETS_COLLECTION, doc.clone()))?
-        };
-        let sizes = set.arch.parametric_layer_sizes();
-        let per_model = param_codec::per_model_params(&sizes)?;
-        let total = param_codec::concat_blob_len(per_model, set.len())?;
-        let uniform = set.models().iter().all(|m| m.param_count() == per_model);
-        if uniform && total > env.stream_chunk_bytes() {
-            // Large set: encode and write in chunks so peak staging
-            // memory is one chunk, not the whole blob. Byte-identical
-            // on disk to the block path below.
-            let model_bytes = param_codec::concat_blob_len(per_model, 1)?;
-            let key = common::params_key(self.name(), doc_id);
-            let _span = env.obs().span("stream_put");
-            env.with_retry(|| {
-                common::put_params_streamed(env, &key, set.len(), model_bytes, |i, buf| {
-                    param_codec::append_model_record(&set.models()[i], buf);
-                    Ok(())
-                })
-            })?;
-        } else {
-            let blob = {
-                let _span = env.obs().span("encode");
-                encode_concat_threaded(set.models(), env.threads())?
-            };
-            let _span = env.obs().span("blob_put");
-            env.with_retry(|| {
-                common::put_params_blob(env, &common::params_key(self.name(), doc_id), &blob, &sizes)
-            })?;
-        }
-        let id = ModelSetId { approach: self.name().into(), key: doc_id.to_string() };
-        commit::commit_save(env, &id)?;
-        Ok(id)
+        self.save_streamed(env, &set.arch, set.len(), common::records_of(set))
     }
 
     fn recover_set(&self, env: &ManagementEnv, id: &ModelSetId) -> Result<ModelSet> {
-        if id.approach != self.name() {
-            return Err(Error::invalid(format!(
-                "baseline cannot recover a {:?} set",
-                id.approach
-            )));
-        }
-        commit::require_committed(env, id)?;
-        let doc_id = common::doc_id_of(id)?;
-        let doc = {
-            let _span = env.obs().span("doc_get");
-            env.docs().get(common::SETS_COLLECTION, doc_id)?
-        };
-        common::recover_full(env, self.name(), doc_id, &doc)
+        self.open(env, id)?.read(env, None)
     }
 
     /// Selective recovery via ranged reads: the concatenated layout makes
@@ -180,20 +108,8 @@ impl ModelSetSaver for BaselineSaver {
         env: &ManagementEnv,
         id: &ModelSetId,
         indices: &[usize],
-    ) -> Result<Vec<mmm_dnn::ParamDict>> {
-        if id.approach != self.name() {
-            return Err(Error::invalid(format!(
-                "baseline cannot recover a {:?} set",
-                id.approach
-            )));
-        }
-        commit::require_committed(env, id)?;
-        let doc_id = common::doc_id_of(id)?;
-        let doc = {
-            let _span = env.obs().span("doc_get");
-            env.docs().get(common::SETS_COLLECTION, doc_id)?
-        };
-        common::recover_full_models(env, self.name(), doc_id, &doc, indices)
+    ) -> Result<Vec<ParamDict>> {
+        Ok(self.open(env, id)?.read(env, Some(indices))?.models)
     }
 }
 
@@ -202,7 +118,7 @@ mod tests {
     use super::*;
     use mmm_dnn::Architectures;
     use mmm_store::LatencyProfile;
-    use mmm_util::TempDir;
+    use mmm_util::{Error, TempDir};
 
     fn set(n: usize, seed: u64) -> ModelSet {
         let arch = Architectures::ffnn(6);
@@ -302,8 +218,8 @@ mod tests {
     #[test]
     fn streamed_save_lands_bit_identical_blobs() {
         let s = set(12, 7);
-        // Block path on a default env, streaming path on an env whose
-        // threshold forces chunked writes even for this small set.
+        // One flush on a default env, many on an env whose staging chunk
+        // is smaller than a model record.
         let (_d1, block_env) = env();
         let dir2 = TempDir::new("mmm-baseline").unwrap();
         let stream_env = ManagementEnv::builder(dir2.path(), LatencyProfile::zero())
@@ -342,7 +258,7 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-        // The streamed artifacts recover through the ordinary block path…
+        // The streamed artifacts recover through the collecting reader…
         let expected = set(n, 100);
         assert_eq!(BaselineSaver::new().recover_set(&env, &id).unwrap(), expected);
         // …and through the one-model-at-a-time visitor.

@@ -8,15 +8,15 @@
 //! metadata — exactly the behaviour the paper's optimized approaches
 //! remove. We implement it faithfully as the comparison point.
 
-use crate::approach::ModelSetSaver;
+use crate::approach::{common, ModelSetSaver};
 use crate::artifacts::{environment_info, model_code};
 use crate::commit;
 use crate::env::ManagementEnv;
 use crate::model_set::{Derivation, ModelSet, ModelSetId};
 use crate::param_codec::{decode_verbose_dict, encode_verbose_dict};
-use mmm_dnn::ArchitectureSpec;
+use mmm_dnn::ParamDict;
 use mmm_util::{Error, Result};
-use serde_json::json;
+use serde_json::{json, Value};
 
 /// Document-store collection holding one document per saved *model*.
 const MODELS_COLLECTION: &str = "models";
@@ -135,46 +135,23 @@ impl ModelSetSaver for MmlibBaseSaver {
     }
 
     fn recover_set(&self, env: &ManagementEnv, id: &ModelSetId) -> Result<ModelSet> {
-        if id.approach != self.name() {
-            return Err(Error::invalid(format!(
-                "mmlib-base cannot recover a {:?} set",
-                id.approach
-            )));
-        }
-        let (first, count) = parse_range(&id.key)?;
-        commit::require_committed(env, id)?;
+        let (first, count) = self.open(env, id)?;
         // One document query and one blob read per model — the Θ(n)
         // round-trips behind MMlib-base's TTR in Figure 5. Each model is
         // an independent pair of round-trips, so they fan out over the
         // environment's thread budget; only the first model's document
         // carries the architecture we need.
         let _span = env.obs().span("fetch_decode");
-        let recovered = env.run_parallel(count, |i| {
-            let doc_id = first + i as u64;
-            let doc = env.docs().get(MODELS_COLLECTION, doc_id)?;
-            let arch = if i == 0 {
-                let spec: ArchitectureSpec = serde_json::from_value(
-                    doc.get("arch")
-                        .cloned()
-                        .ok_or_else(|| Error::corrupt("model document without arch"))?,
-                )
-                .map_err(|e| Error::corrupt(format!("unparseable arch: {e}")))?;
-                Some(spec)
-            } else {
-                None
-            };
-            let blob = env.blobs().get(&Self::blob_key(doc_id, "params.pt"))?;
-            Ok((arch, decode_verbose_dict(&blob)?))
+        let mut fetched = env.run_parallel(count, |i| {
+            let (doc, dict) = Self::fetch_model(env, first + i as u64)?;
+            Ok(((i == 0).then_some(doc), dict))
         })?;
-        let mut arch: Option<ArchitectureSpec> = None;
-        let mut models = Vec::with_capacity(count);
-        for (spec, dict) in recovered {
-            if let Some(spec) = spec {
-                arch = Some(spec);
-            }
-            models.push(dict);
-        }
-        let arch = arch.ok_or_else(|| Error::invalid("empty model set id"))?;
+        let head = fetched
+            .first_mut()
+            .and_then(|(doc, _)| doc.take())
+            .ok_or_else(|| Error::invalid("empty model set id"))?;
+        let arch = common::parse_arch(&head)?;
+        let models = fetched.into_iter().map(|(_, dict)| dict).collect();
         Ok(ModelSet::new(arch, models))
     }
 
@@ -187,14 +164,7 @@ impl ModelSetSaver for MmlibBaseSaver {
         id: &ModelSetId,
         indices: &[usize],
     ) -> Result<Vec<mmm_dnn::ParamDict>> {
-        if id.approach != self.name() {
-            return Err(Error::invalid(format!(
-                "mmlib-base cannot recover a {:?} set",
-                id.approach
-            )));
-        }
-        let (first, count) = parse_range(&id.key)?;
-        commit::require_committed(env, id)?;
+        let (first, count) = self.open(env, id)?;
         let _span = env.obs().span("fetch_decode");
         env.run_parallel(indices.len(), |p| {
             let i = indices[p];
@@ -203,11 +173,26 @@ impl ModelSetSaver for MmlibBaseSaver {
                     "model index {i} out of range for {count} models"
                 )));
             }
-            let doc_id = first + i as u64;
-            let _doc = env.docs().get(MODELS_COLLECTION, doc_id)?;
-            let blob = env.blobs().get(&Self::blob_key(doc_id, "params.pt"))?;
-            decode_verbose_dict(&blob)
+            Ok(Self::fetch_model(env, first + i as u64)?.1)
         })
+    }
+}
+
+impl MmlibBaseSaver {
+    /// The shared recovery guard, then the id's `(first doc id, count)`.
+    fn open(&self, env: &ManagementEnv, id: &ModelSetId) -> Result<(u64, usize)> {
+        // Parsed first, so a malformed key is `Invalid` rather than a
+        // missing commit record.
+        let range = parse_range(&id.key);
+        common::guard(env, self.name(), id)?;
+        range
+    }
+
+    /// One model's document and decoded parameters.
+    fn fetch_model(env: &ManagementEnv, doc_id: u64) -> Result<(Value, ParamDict)> {
+        let doc = env.docs().get(MODELS_COLLECTION, doc_id)?;
+        let blob = env.blobs().get(&Self::blob_key(doc_id, "params.pt"))?;
+        Ok((doc, decode_verbose_dict(&blob)?))
     }
 }
 

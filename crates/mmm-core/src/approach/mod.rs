@@ -14,7 +14,7 @@ pub mod update;
 
 pub use baseline::BaselineSaver;
 /// Catalog collection name, exposed for benches and tools that seed
-/// raw set documents (schema documented in DESIGN.md §4).
+/// raw set documents (schema documented in DESIGN.md §3, "Approaches").
 pub use common::SETS_COLLECTION;
 pub use mmlib_base::MmlibBaseSaver;
 pub use provenance::ProvenanceSaver;
@@ -48,31 +48,18 @@ pub trait ModelSetSaver {
         self.save_set(env, set, None)
     }
 
-    /// Recover only the models at `indices` (in the given order) — the
-    /// paper's actual recovery pattern: "only recover a selected number
-    /// of models, for example, after an accident".
-    ///
-    /// The default implementation recovers the whole set and selects;
-    /// every approach overrides it with something cheaper (ranged reads
-    /// of the concatenated blob, per-model artifacts, filtered diff
-    /// replay, or selective retraining).
+    /// Recover only the models at `indices` (in the given order,
+    /// repeats allowed) — the paper's actual recovery pattern: "only
+    /// recover a selected number of models, for example, after an
+    /// accident". Every approach does this cheaper than a whole-set
+    /// recovery: ranged reads of the concatenated blob, per-model
+    /// artifacts, filtered diff replay, or selective retraining.
     fn recover_models(
         &self,
         env: &ManagementEnv,
         id: &ModelSetId,
         indices: &[usize],
-    ) -> Result<Vec<ParamDict>> {
-        let set = self.recover_set(env, id)?;
-        indices
-            .iter()
-            .map(|&i| {
-                set.models()
-                    .get(i)
-                    .cloned()
-                    .ok_or_else(|| Error::invalid(format!("model index {i} out of range")))
-            })
-            .collect()
-    }
+    ) -> Result<Vec<ParamDict>>;
 }
 
 /// Which management approach an [`ApproachSpec`] names.
@@ -237,25 +224,29 @@ impl std::fmt::Display for ApproachSpec {
     }
 }
 
-/// Construct a saver by its stable name (`"mmlib-base"`, `"baseline"`,
-/// `"update"`, `"provenance"`).
-#[deprecated(note = "use `ApproachSpec::parse(name)?.build()`, which also accepts options")]
-pub fn by_name(name: &str) -> Option<Box<dyn ModelSetSaver>> {
-    ApproachSpec::parse(name).ok().map(|spec| spec.build())
-}
-
 /// Recover a set with whatever approach its id names.
 pub fn recover_any(env: &ManagementEnv, id: &ModelSetId) -> Result<ModelSet> {
     ApproachSpec::parse(&id.approach)?.build().recover_set(env, id)
 }
 
-/// Shared helpers for the set-oriented approaches (Baseline, Update,
-/// Provenance), which all persist one metadata document per set plus a
-/// small number of blobs.
+/// The save/recover skeleton of the set-oriented approaches (Baseline,
+/// Update, Provenance). All three share one shape (PAPER.md approach
+/// table): a *full snapshot* saved the Baseline way — metadata and
+/// architecture once, all parameters concatenated (§3.2) — plus, for
+/// Update and Provenance, a chain of derived levels recovered
+/// recursively: "base set + apply diffs" (§3.3) or "base set +
+/// deterministic retraining" (§3.4). An approach supplies only how to
+/// parse one derived level's document and how to apply one level.
 pub(crate) mod common {
+    use std::cell::RefCell;
+    use std::collections::HashMap;
+
     use super::*;
-    use mmm_dnn::{ArchitectureSpec, ParamDict};
-    use mmm_util::Error;
+    use crate::commit;
+    use crate::param_codec::{self, decode_model_record, record_decoder};
+    use mmm_dnn::ArchitectureSpec;
+    use mmm_store::BlobBytes;
+    use mmm_util::parallel;
     use serde_json::{json, Value};
 
     /// Document-store collection holding one document per saved set.
@@ -281,85 +272,9 @@ pub(crate) mod common {
         }))
     }
 
-    /// Parse the pieces of a full set document needed for recovery.
-    pub fn parse_full_doc(doc: &Value) -> Result<(ArchitectureSpec, usize)> {
-        let arch: ArchitectureSpec = serde_json::from_value(
-            doc.get("arch")
-                .cloned()
-                .ok_or_else(|| Error::corrupt("set document without arch"))?,
-        )
-        .map_err(|e| Error::corrupt(format!("unparseable arch in set document: {e}")))?;
-        let n_models = doc
-            .get("n_models")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| Error::corrupt("set document without n_models"))? as usize;
-        Ok((arch, n_models))
-    }
-
     /// Key of the concatenated-parameters blob of a full save.
     pub fn params_key(approach: &str, doc_id: u64) -> String {
         format!("{approach}/{doc_id}/params.bin")
-    }
-
-    /// Recover a full save: read the params blob and split it by the
-    /// architecture's layer layout.
-    pub fn recover_full(
-        env: &ManagementEnv,
-        approach: &str,
-        doc_id: u64,
-        doc: &Value,
-    ) -> Result<ModelSet> {
-        let (arch, n_models) = parse_full_doc(doc)?;
-        // Zero-copy read: the blob arrives as a page-cache mapping where
-        // the backend supports it, and the decoder slices it in place —
-        // recovery never stages the parameter bytes in an intermediate
-        // heap buffer. Accounting is identical to a copying `get`.
-        let blob = {
-            let _span = env.obs().span("blob_get");
-            env.blobs().get_mapped(&params_key(approach, doc_id))?
-        };
-        let _span = env.obs().span("decode");
-        let models: Vec<ParamDict> = crate::param_codec::decode_concat_threaded(
-            &blob,
-            n_models,
-            &arch.parametric_layer_names(),
-            &arch.parametric_layer_sizes(),
-            env.threads(),
-        )?;
-        Ok(ModelSet::new(arch, models))
-    }
-
-    /// Recover only selected models from a full save via ranged reads of
-    /// the concatenated parameter blob: the layout (`n` fixed-size model
-    /// records back to back) makes per-model byte offsets trivial.
-    pub fn recover_full_models(
-        env: &ManagementEnv,
-        approach: &str,
-        doc_id: u64,
-        doc: &Value,
-        indices: &[usize],
-    ) -> Result<Vec<ParamDict>> {
-        let (arch, n_models) = parse_full_doc(doc)?;
-        let names = arch.parametric_layer_names();
-        let sizes = arch.parametric_layer_sizes();
-        let per_model = 4 * arch.param_count() as u64;
-        let key = params_key(approach, doc_id);
-        // One ranged read per selected model — independent store
-        // round-trips, so they fan out over the environment's thread
-        // budget (each lane charges its own transfer time; the section
-        // costs its critical path).
-        let _span = env.obs().span("blob_get");
-        env.run_parallel(indices.len(), |p| {
-            let i = indices[p];
-            if i >= n_models {
-                return Err(Error::invalid(format!(
-                    "model index {i} out of range for {n_models} models"
-                )));
-            }
-            let bytes = env.blobs().get_range(&key, i as u64 * per_model, per_model as usize)?;
-            let flat = mmm_util::codec::Reader::new(&bytes).f32_slice(arch.param_count())?;
-            Ok(ParamDict::from_flat(&flat, &names, &sizes))
-        })
     }
 
     /// Parse a set id's key as a document id.
@@ -369,67 +284,325 @@ pub(crate) mod common {
             .map_err(|_| Error::invalid(format!("malformed set key {:?}", id.key)))
     }
 
-    /// Byte offsets of (model, layer) record edges in an
-    /// [`crate::param_codec::encode_concat`] blob: the format is `n`
-    /// fixed-size model records back to back, each a concatenation of
-    /// 4-byte-per-element layer slices.
-    pub fn concat_boundaries(total_len: usize, layer_sizes: &[usize]) -> Vec<usize> {
-        let per_model: usize = layer_sizes.iter().map(|&s| 4 * s).sum();
-        if per_model == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
+    /// Byte offsets of the (model, layer) record edges of a concat blob:
+    /// `n` fixed-size model records back to back, each a concatenation
+    /// of 4-byte-per-element layer slices. Lazy, so only a backend that
+    /// cuts chunks on them pays for the walk.
+    fn concat_boundaries(
+        n_models: usize,
+        layer_sizes: &[usize],
+    ) -> impl Iterator<Item = usize> + '_ {
         let mut off = 0usize;
-        while off < total_len {
-            for &s in layer_sizes {
-                off += 4 * s;
-                if off >= total_len {
-                    break;
+        (0..n_models).flat_map(move |_| layer_sizes).map(move |&s| {
+            off += 4 * s;
+            off
+        })
+    }
+
+    /// The `append_model` callback of [`save_full_snapshot`] for a set
+    /// held in memory.
+    pub fn records_of(set: &ModelSet) -> impl FnMut(usize, &mut Vec<u8>) -> Result<()> + '_ {
+        |i, buf| {
+            param_codec::append_model_record(&set.models()[i], buf);
+            Ok(())
+        }
+    }
+
+    /// Phase one of every set-level save: insert the set document.
+    pub fn insert_set_doc(env: &ManagementEnv, doc: &Value) -> Result<u64> {
+        let _span = env.obs().span("doc_insert");
+        env.with_retry(|| env.docs().insert(SETS_COLLECTION, doc.clone()))
+    }
+
+    /// Phase two of every set-level save: the commit record that makes
+    /// the documents and blobs written so far visible to readers.
+    pub fn commit_set(env: &ManagementEnv, approach: &str, doc_id: u64) -> Result<ModelSetId> {
+        let id = ModelSetId {
+            approach: approach.into(),
+            key: doc_id.to_string(),
+        };
+        commit::commit_save(env, &id)?;
+        Ok(id)
+    }
+
+    /// Save a full snapshot the Baseline way: set document → concat
+    /// params blob → commit. `append_model(i, buf)` appends model `i`'s
+    /// record (see [`param_codec::append_model_record`]); records are
+    /// staged in a buffer of at most [`ManagementEnv::stream_chunk_bytes`]
+    /// and streamed to the store's sink, so peak staging memory is
+    /// O(chunk) whether the models come from a slice or a generator.
+    /// The sink is hinted with the layer edges, so the content-addressed
+    /// backend dedups unchanged layers across sets and versions (plain
+    /// and tiered store the bytes as-is). `before_commit(doc_id)` writes
+    /// whatever else belongs to the save (Update's hash table).
+    pub fn save_full_snapshot(
+        env: &ManagementEnv,
+        approach: &str,
+        arch: &ArchitectureSpec,
+        n_models: usize,
+        extra_fields: &[(&str, Value)],
+        mut append_model: impl FnMut(usize, &mut Vec<u8>) -> Result<()>,
+        before_commit: impl FnOnce(u64) -> Result<()>,
+    ) -> Result<ModelSetId> {
+        let mut doc = full_set_doc(approach, arch, n_models)?;
+        let fields = doc
+            .as_object_mut()
+            .ok_or_else(|| Error::invalid("full_set_doc did not return an object"))?;
+        fields.extend(extra_fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
+        let doc_id = insert_set_doc(env, &doc)?;
+        let sizes = arch.parametric_layer_sizes();
+        let model_bytes = param_codec::concat_blob_len(param_codec::per_model_params(&sizes)?, 1)?;
+        let key = params_key(approach, doc_id);
+        env.with_retry(|| {
+            let mut sink = env.blobs().put_writer(&key)?;
+            sink.hint_boundaries(concat_boundaries(n_models, &sizes));
+            // `encode` runs from the first record of a chunk to its
+            // flush, `blob_put` covers each flush and the finish (which
+            // is where the store charges the put).
+            let encoding = RefCell::new(None);
+            param_codec::encode_concat_stream(
+                n_models,
+                model_bytes,
+                env.stream_chunk_bytes(),
+                |i, buf| {
+                    encoding
+                        .borrow_mut()
+                        .get_or_insert_with(|| env.obs().span("encode"));
+                    append_model(i, buf)
+                },
+                |chunk| {
+                    encoding.take();
+                    let _span = env.obs().span("blob_put");
+                    sink.write(chunk)
+                },
+            )?;
+            let _span = env.obs().span("blob_put");
+            sink.finish()
+        })?;
+        before_commit(doc_id)?;
+        commit_set(env, approach, doc_id)
+    }
+
+    /// The prologue of every recovery: the id must name this approach,
+    /// and its save must have committed.
+    pub fn guard(env: &ManagementEnv, approach: &str, id: &ModelSetId) -> Result<()> {
+        if id.approach != approach {
+            return Err(Error::invalid(format!(
+                "{approach} cannot recover a {:?} set",
+                id.approach
+            )));
+        }
+        commit::require_committed(env, id)
+    }
+
+    /// The architecture stored in a set (or MMlib-base model) document.
+    pub fn parse_arch(doc: &Value) -> Result<ArchitectureSpec> {
+        let arch = doc
+            .get("arch")
+            .cloned()
+            .ok_or_else(|| Error::corrupt("document without arch"))?;
+        serde_json::from_value(arch)
+            .map_err(|e| Error::corrupt(format!("unparseable arch in document: {e}")))
+    }
+
+    /// A full snapshot's set document, parsed: everything needed to read
+    /// its params blob.
+    pub struct FullSnapshot {
+        pub arch: ArchitectureSpec,
+        pub n_models: usize,
+        pub layer_names: Vec<String>,
+        pub layer_sizes: Vec<usize>,
+        key: String,
+    }
+
+    impl FullSnapshot {
+        /// Parse the set document `doc_id` of a full save.
+        pub fn open(approach: &str, doc_id: u64, doc: &Value) -> Result<Self> {
+            let arch = parse_arch(doc)?;
+            let n_models = doc
+                .get("n_models")
+                .and_then(Value::as_u64)
+                .ok_or_else(|| Error::corrupt("set document without n_models"))?
+                as usize;
+            Ok(FullSnapshot {
+                layer_names: arch.parametric_layer_names(),
+                layer_sizes: arch.parametric_layer_sizes(),
+                key: params_key(approach, doc_id),
+                arch,
+                n_models,
+            })
+        }
+
+        /// The whole params blob as a zero-copy view: a page-cache
+        /// mapping where the backend supports it, so decoders never
+        /// stage the parameter bytes in an intermediate heap buffer.
+        /// Accounting is identical to a copying `get`.
+        pub fn map(&self, env: &ManagementEnv) -> Result<BlobBytes> {
+            let _span = env.obs().span("blob_get");
+            env.blobs().get_mapped(&self.key)
+        }
+
+        /// Read the snapshot's models: all of them from one mapped get
+        /// (`None`), or the models at `indices`, in order, from one
+        /// ranged get each — the concat layout makes every model a
+        /// fixed-size record at a trivial offset, so `k` of `n` models
+        /// transfer `k/n` of the blob. Decoding and the independent
+        /// ranged round-trips fan out over the environment's thread
+        /// budget.
+        pub fn read(self, env: &ManagementEnv, indices: Option<&[usize]>) -> Result<ModelSet> {
+            let (names, sizes) = (&self.layer_names, &self.layer_sizes);
+            let models = match indices {
+                None => {
+                    let blob = self.map(env)?;
+                    let _span = env.obs().span("decode");
+                    let decode = record_decoder(&blob, self.n_models, names, sizes)?;
+                    parallel::try_map(env.threads(), self.n_models, decode)?
                 }
-                out.push(off);
+                Some(indices) => {
+                    let record =
+                        param_codec::concat_blob_len(param_codec::per_model_params(sizes)?, 1)?;
+                    let _span = env.obs().span("blob_get");
+                    env.run_parallel(indices.len(), |p| {
+                        let i = indices[p];
+                        if i >= self.n_models {
+                            return Err(Error::invalid(format!(
+                                "model index {i} out of range for {} models",
+                                self.n_models
+                            )));
+                        }
+                        let bytes =
+                            env.blobs()
+                                .get_range(&self.key, (i * record) as u64, record)?;
+                        decode_model_record(&bytes, names, sizes)
+                    })?
+                }
+            };
+            Ok(ModelSet::new(self.arch, models))
+        }
+    }
+
+    /// Where each model of the set lives in the vector being recovered.
+    pub enum Slots {
+        /// Whole-set recovery of `n` models: model `i` is slot `i`.
+        All(usize),
+        /// Selective recovery: set-wide model index → slot.
+        Picked(HashMap<usize, usize>),
+    }
+
+    impl Slots {
+        /// The slot of `model_idx`, or `None` if the selection leaves the
+        /// model out. A whole-set recovery has no such thing as an
+        /// unselected model, so there an index past the set is `Corrupt`.
+        pub fn of(&self, model_idx: usize) -> Result<Option<usize>> {
+            match self {
+                Slots::All(n) if model_idx >= *n => Err(Error::corrupt(format!(
+                    "model index {model_idx} out of range for {n} models"
+                ))),
+                Slots::All(_) => Ok(Some(model_idx)),
+                Slots::Picked(slots) => Ok(slots.get(&model_idx).copied()),
             }
         }
-        out
     }
 
-    /// Put a concatenated-parameters blob, cutting CAS chunks on layer
-    /// edges so unchanged layers dedup across sets and versions. Stored
-    /// bytes are identical on the plain backend (boundaries only
-    /// influence content-addressed chunking).
-    pub fn put_params_blob(
-        env: &ManagementEnv,
-        key: &str,
-        blob: &[u8],
-        layer_sizes: &[usize],
-    ) -> Result<()> {
-        let boundaries = concat_boundaries(blob.len(), layer_sizes);
-        env.blobs().put_with_boundaries(key, blob, &boundaries)
+    /// The result of [`walk`]: the derived levels passed (newest first)
+    /// and where the walk ended.
+    pub struct Walk<L> {
+        pub chain: Vec<(u64, L)>,
+        /// Document id the walk stopped at.
+        pub end: u64,
+        /// The full snapshot's document, unless the walk stopped early
+        /// at a node the caller already knows.
+        pub full: Option<Value>,
     }
 
-    /// Stream a concatenated-parameters blob: models are produced one at
-    /// a time by `append_model` (index, staging buffer), encoded into a
-    /// chunk of [`ManagementEnv::stream_chunk_bytes`], and flushed to the
-    /// store's streaming sink — peak staging memory is one chunk, not
-    /// the whole set. The landed blob is byte-identical to
-    /// [`put_params_blob`] of `encode_concat` output. On the
-    /// content-addressed backend the sink buffers (chunk dedup needs the
-    /// whole payload) and cuts fixed-size chunks rather than layer-edge
-    /// chunks.
-    pub fn put_params_streamed(
+    /// Follow `base` pointers from set document `start` back to the
+    /// chain's full snapshot — or to the first node `known` to the
+    /// caller — parsing each derived level passed with `parse_level`
+    /// (which rejects kinds the approach does not write).
+    pub fn walk<L>(
         env: &ManagementEnv,
-        key: &str,
-        n_models: usize,
-        model_bytes: usize,
-        append_model: impl FnMut(usize, &mut Vec<u8>) -> Result<()>,
-    ) -> Result<()> {
-        let mut sink = env.blobs().put_writer(key)?;
-        crate::param_codec::encode_concat_stream(
-            n_models,
-            model_bytes,
-            env.stream_chunk_bytes(),
-            append_model,
-            |chunk| sink.write(chunk),
-        )?;
-        sink.finish()
+        start: u64,
+        known: impl Fn(u64) -> bool,
+        parse_level: impl Fn(&Value) -> Result<L>,
+    ) -> Result<Walk<L>> {
+        let mut chain = Vec::new();
+        let mut cursor = start;
+        while !known(cursor) {
+            let doc = env.docs().get(SETS_COLLECTION, cursor)?;
+            if doc.get("kind").and_then(Value::as_str) == Some("full") {
+                return Ok(Walk {
+                    chain,
+                    end: cursor,
+                    full: Some(doc),
+                });
+            }
+            chain.push((cursor, parse_level(&doc)?));
+            cursor = doc
+                .get("base")
+                .and_then(Value::as_str)
+                .and_then(|s| s.parse::<u64>().ok())
+                .ok_or_else(|| Error::corrupt("derived set document without base"))?;
+        }
+        Ok(Walk {
+            chain,
+            end: cursor,
+            full: None,
+        })
+    }
+
+    /// Recursive recovery, written once: guard → walk the chain back to
+    /// its full snapshot → read that snapshot (whole: one mapped get;
+    /// selected: ranged gets) → replay the derived levels oldest →
+    /// newest with `apply_level(arch, models, slots, doc_id, level)`,
+    /// which touches only the models `slots` holds. A repeated index is
+    /// read and replayed once and cloned into each position that asked
+    /// for it.
+    pub fn recover_chain<L>(
+        env: &ManagementEnv,
+        approach: &str,
+        id: &ModelSetId,
+        indices: Option<&[usize]>,
+        parse_level: impl Fn(&Value) -> Result<L>,
+        apply_level: impl Fn(&ArchitectureSpec, &mut [ParamDict], &Slots, u64, &L) -> Result<()>,
+    ) -> Result<ModelSet> {
+        guard(env, approach, id)?;
+        let walked = {
+            let _span = env.obs().span("chain_walk");
+            walk(env, doc_id_of(id)?, |_| false, parse_level)?
+        };
+        let root_doc = walked
+            .full
+            .ok_or_else(|| Error::corrupt("chain without a full snapshot"))?;
+        let snapshot = FullSnapshot::open(approach, walked.end, &root_doc)?;
+        let mut unique = Vec::new();
+        let slots = match indices {
+            None => Slots::All(snapshot.n_models),
+            Some(indices) => {
+                let mut slots = HashMap::new();
+                for &i in indices {
+                    slots.entry(i).or_insert_with(|| {
+                        unique.push(i);
+                        unique.len() - 1
+                    });
+                }
+                Slots::Picked(slots)
+            }
+        };
+        let mut set = {
+            let _span = env.obs().span("base_snapshot");
+            snapshot.read(env, indices.map(|_| unique.as_slice()))?
+        };
+        for (doc_id, level) in walked.chain.iter().rev() {
+            apply_level(&set.arch, &mut set.models, &slots, *doc_id, level)?;
+        }
+        if let (Some(indices), Slots::Picked(slots)) = (indices, &slots) {
+            if indices.len() != unique.len() {
+                set.models = indices
+                    .iter()
+                    .map(|i| set.models[slots[i]].clone())
+                    .collect();
+            }
+        }
+        Ok(set)
     }
 }

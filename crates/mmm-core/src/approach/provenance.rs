@@ -15,14 +15,14 @@
 //! [`crate::apply_update::apply_update`].
 
 use crate::apply_update::apply_update;
-use crate::approach::common;
+use crate::approach::common::{self, Slots};
 use crate::approach::ModelSetSaver;
-use crate::commit;
 use crate::artifacts::environment_info;
+use crate::commit;
 use crate::env::ManagementEnv;
 use crate::model_set::{Derivation, ModelSet, ModelSetId, ModelUpdate, UpdateKind};
 use mmm_data::registry::DatasetRef;
-use mmm_dnn::TrainConfig;
+use mmm_dnn::{ArchitectureSpec, ParamDict, TrainConfig};
 use mmm_util::{Error, Result};
 use serde_json::{json, Value};
 
@@ -113,30 +113,15 @@ impl ModelSetSaver for ProvenanceSaver {
     ) -> Result<ModelSetId> {
         let Some(deriv) = derivation else {
             // Initial set: complete representation using Baseline's logic.
-            let doc = common::full_set_doc(self.name(), &set.arch, set.len())?;
-            let doc_id = {
-                let _span = env.obs().span("doc_insert");
-                env.with_retry(|| env.docs().insert(common::SETS_COLLECTION, doc.clone()))?
-            };
-            let params = {
-                let _span = env.obs().span("encode");
-                crate::param_codec::encode_concat_threaded(set.models(), env.threads())?
-            };
-            {
-                let _span = env.obs().span("blob_put");
-                let sizes = set.arch.parametric_layer_sizes();
-                env.with_retry(|| {
-                    common::put_params_blob(
-                        env,
-                        &common::params_key(self.name(), doc_id),
-                        &params,
-                        &sizes,
-                    )
-                })?;
-            }
-            let id = ModelSetId { approach: self.name().into(), key: doc_id.to_string() };
-            commit::commit_save(env, &id)?;
-            return Ok(id);
+            return common::save_full_snapshot(
+                env,
+                self.name(),
+                &set.arch,
+                set.len(),
+                &[],
+                common::records_of(set),
+                |_| Ok(()),
+            );
         };
         if deriv.base.approach != self.name() {
             return Err(Error::invalid(format!(
@@ -177,10 +162,7 @@ impl ModelSetSaver for ProvenanceSaver {
             "train": train_value,
             "environment": environment_info(),
         });
-        let doc_id = {
-            let _span = env.obs().span("doc_insert");
-            env.with_retry(|| env.docs().insert(common::SETS_COLLECTION, doc.clone()))?
-        };
+        let doc_id = common::insert_set_doc(env, &doc)?;
 
         // One dataset reference per updated model.
         let mut lines = String::new();
@@ -192,95 +174,11 @@ impl ModelSetSaver for ProvenanceSaver {
             let _span = env.obs().span("blob_put");
             env.with_retry(|| env.blobs().put(&Self::updates_key(doc_id), lines.as_bytes()))?;
         }
-        let id = ModelSetId { approach: self.name().into(), key: doc_id.to_string() };
-        commit::commit_save(env, &id)?;
-        Ok(id)
+        common::commit_set(env, self.name(), doc_id)
     }
 
     fn recover_set(&self, env: &ManagementEnv, id: &ModelSetId) -> Result<ModelSet> {
-        if id.approach != self.name() {
-            return Err(Error::invalid(format!(
-                "provenance cannot recover a {:?} set",
-                id.approach
-            )));
-        }
-        commit::require_committed(env, id)?;
-
-        // Walk back to the full snapshot, collecting provenance levels.
-        let mut chain: Vec<(u64, TrainConfig)> = Vec::new(); // newest first
-        let (root, root_doc) = {
-            let _span = env.obs().span("chain_walk");
-            let mut cursor = common::doc_id_of(id)?;
-            loop {
-                let doc = env.docs().get(common::SETS_COLLECTION, cursor)?;
-                match doc.get("kind").and_then(Value::as_str) {
-                    Some("full") => break (cursor, doc),
-                    Some("prov") => {
-                        let train: TrainConfig = serde_json::from_value(
-                            doc.get("train")
-                                .cloned()
-                                .ok_or_else(|| Error::corrupt("provenance document without train config"))?,
-                        )
-                        .map_err(|e| Error::corrupt(format!("unparseable train config: {e}")))?;
-                        chain.push((cursor, train));
-                        cursor = doc
-                            .get("base")
-                            .and_then(Value::as_str)
-                            .and_then(|s| s.parse::<u64>().ok())
-                            .ok_or_else(|| Error::corrupt("provenance document without base"))?;
-                    }
-                    other => return Err(Error::corrupt(format!("unknown set kind {other:?}"))),
-                }
-            }
-        };
-        let mut set = {
-            let _span = env.obs().span("base_snapshot");
-            common::recover_full(env, self.name(), root, &root_doc)?
-        };
-
-        // Replay updates oldest → newest: "update every model by
-        // deterministically repeating its training on the associated
-        // dataset". Chain levels are strictly ordered, but within one
-        // level different models' retrainings are independent, so the
-        // lines are grouped per model (preserving each model's update
-        // order) and the groups retrained across the thread budget —
-        // retraining dominates Provenance's TTR, making this the
-        // approach's main parallel win.
-        for (doc_id, train) in chain.iter().rev() {
-            let mut fetch_span = Some(env.obs().span("updates_fetch"));
-            let blob = env.blobs().get(&Self::updates_key(*doc_id))?;
-            let text = String::from_utf8(blob)
-                .map_err(|_| Error::corrupt("provenance updates blob is not UTF-8"))?;
-            let mut groups: Vec<(usize, Vec<ModelUpdate>)> = Vec::new();
-            for line in text.lines().filter(|l| !l.is_empty()) {
-                let u = Self::parse_update_line(line)?;
-                if u.model_idx >= set.models.len() {
-                    return Err(Error::corrupt(format!(
-                        "update model index {} out of range",
-                        u.model_idx
-                    )));
-                }
-                match groups.iter_mut().find(|(i, _)| *i == u.model_idx) {
-                    Some((_, us)) => us.push(u),
-                    None => groups.push((u.model_idx, vec![u])),
-                }
-            }
-            fetch_span.take();
-            let _span = env.obs().span("retrain");
-            let retrained = env.run_parallel(groups.len(), |g| {
-                let (model_idx, updates) = &groups[g];
-                let mut model = set.models[*model_idx].clone();
-                for u in updates {
-                    let dataset = env.registry().get(&u.dataset)?;
-                    model = apply_update(&set.arch, &model, u, train, &dataset);
-                }
-                Ok((*model_idx, model))
-            })?;
-            for (model_idx, model) in retrained {
-                set.models[model_idx] = model;
-            }
-        }
-        Ok(set)
+        self.recover(env, id, None)
     }
 
     /// Selective recovery: ranged reads of the selected models from the
@@ -293,68 +191,98 @@ impl ModelSetSaver for ProvenanceSaver {
         env: &ManagementEnv,
         id: &ModelSetId,
         indices: &[usize],
-    ) -> Result<Vec<mmm_dnn::ParamDict>> {
-        if id.approach != self.name() {
-            return Err(Error::invalid(format!(
-                "provenance cannot recover a {:?} set",
-                id.approach
-            )));
-        }
-        commit::require_committed(env, id)?;
-        let mut chain: Vec<(u64, TrainConfig)> = Vec::new();
-        let (root, walk_doc) = {
-            let _span = env.obs().span("chain_walk");
-            let mut cursor = common::doc_id_of(id)?;
-            loop {
-                let doc = env.docs().get(common::SETS_COLLECTION, cursor)?;
-                match doc.get("kind").and_then(Value::as_str) {
-                    Some("full") => break (cursor, doc),
-                    Some("prov") => {
-                        let train: TrainConfig = serde_json::from_value(
-                            doc.get("train")
-                                .cloned()
-                                .ok_or_else(|| Error::corrupt("provenance document without train config"))?,
-                        )
-                        .map_err(|e| Error::corrupt(format!("unparseable train config: {e}")))?;
-                        chain.push((cursor, train));
-                        cursor = doc
-                            .get("base")
-                            .and_then(Value::as_str)
-                            .and_then(|s| s.parse::<u64>().ok())
-                            .ok_or_else(|| Error::corrupt("provenance document without base"))?;
-                    }
-                    other => return Err(Error::corrupt(format!("unknown set kind {other:?}"))),
-                }
-            }
-        };
-        let _bspan = env.obs().span("base_snapshot");
-        let mut selected: Vec<mmm_dnn::ParamDict> =
-            common::recover_full_models(env, self.name(), root, &walk_doc, indices)?;
-        // The selected models' architecture: read once from the chain's
-        // full snapshot document (recover_full_models validated indices).
-        let root_doc = env.docs().get(common::SETS_COLLECTION, root)?;
-        let (arch, _) = common::parse_full_doc(&root_doc)?;
-        drop(_bspan);
-
-        let pos: std::collections::HashMap<usize, usize> =
-            indices.iter().enumerate().map(|(p, &i)| (i, p)).collect();
-        for (doc_id, train) in chain.iter().rev() {
-            let mut fetch_span = Some(env.obs().span("updates_fetch"));
-            let blob = env.blobs().get(&Self::updates_key(*doc_id))?;
-            let text = String::from_utf8(blob)
-                .map_err(|_| Error::corrupt("provenance updates blob is not UTF-8"))?;
-            fetch_span.take();
-            let _span = env.obs().span("retrain");
-            for line in text.lines().filter(|l| !l.is_empty()) {
-                let u = Self::parse_update_line(line)?;
-                if let Some(&p) = pos.get(&u.model_idx) {
-                    let dataset = env.registry().get(&u.dataset)?;
-                    selected[p] = apply_update(&arch, &selected[p], &u, train, &dataset);
-                }
-            }
-        }
-        Ok(selected)
+    ) -> Result<Vec<ParamDict>> {
+        Ok(self.recover(env, id, Some(indices))?.models)
     }
+}
+
+impl ProvenanceSaver {
+    /// Whole-set (`None`) or selective recovery through the shared chain
+    /// skeleton: the chain's full snapshot, then the recorded trainings
+    /// replayed oldest → newest.
+    fn recover(
+        &self,
+        env: &ManagementEnv,
+        id: &ModelSetId,
+        indices: Option<&[usize]>,
+    ) -> Result<ModelSet> {
+        common::recover_chain(
+            env,
+            self.name(),
+            id,
+            indices,
+            parse_train_config,
+            |arch, models, slots, doc_id, train| {
+                retrain_level(env, arch, models, slots, doc_id, train)
+            },
+        )
+    }
+}
+
+/// Parse one derived level's set document: the training configuration
+/// its updates were run with.
+fn parse_train_config(doc: &Value) -> Result<TrainConfig> {
+    if doc.get("kind").and_then(Value::as_str) != Some("prov") {
+        return Err(Error::corrupt(format!(
+            "unknown set kind {:?}",
+            doc.get("kind")
+        )));
+    }
+    serde_json::from_value(
+        doc.get("train")
+            .cloned()
+            .ok_or_else(|| Error::corrupt("provenance document without train config"))?,
+    )
+    .map_err(|e| Error::corrupt(format!("unparseable train config: {e}")))
+}
+
+/// Replay one chain level on the models `slots` holds: "update every
+/// model by deterministically repeating its training on the associated
+/// dataset". Chain levels are strictly ordered, but within one level
+/// different models' retrainings are independent, so the recorded
+/// updates are grouped per model (preserving each model's update order)
+/// and the groups retrained across the thread budget — retraining
+/// dominates Provenance's TTR, making this the approach's main parallel
+/// win. Updates of models outside the selection are never run.
+fn retrain_level(
+    env: &ManagementEnv,
+    arch: &ArchitectureSpec,
+    models: &mut [ParamDict],
+    slots: &Slots,
+    doc_id: u64,
+    train: &TrainConfig,
+) -> Result<()> {
+    let mut groups: Vec<(usize, Vec<ModelUpdate>)> = Vec::new();
+    {
+        let _span = env.obs().span("updates_fetch");
+        let blob = env.blobs().get(&ProvenanceSaver::updates_key(doc_id))?;
+        let text = String::from_utf8(blob)
+            .map_err(|_| Error::corrupt("provenance updates blob is not UTF-8"))?;
+        for line in text.lines().filter(|l| !l.is_empty()) {
+            let u = ProvenanceSaver::parse_update_line(line)?;
+            let Some(slot) = slots.of(u.model_idx)? else {
+                continue;
+            };
+            match groups.iter_mut().find(|(s, _)| *s == slot) {
+                Some((_, us)) => us.push(u),
+                None => groups.push((slot, vec![u])),
+            }
+        }
+    }
+    let _span = env.obs().span("retrain");
+    let retrained = env.run_parallel(groups.len(), |g| {
+        let (slot, updates) = &groups[g];
+        let mut model = models[*slot].clone();
+        for u in updates {
+            let dataset = env.registry().get(&u.dataset)?;
+            model = apply_update(arch, &model, u, train, &dataset);
+        }
+        Ok((*slot, model))
+    })?;
+    for (slot, model) in retrained {
+        models[slot] = model;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -15,16 +15,19 @@
 //! prevented by saving intermediate model snapshots using the baseline
 //! approach" — implemented here as [`UpdateSaver::with_full_snapshot_every`].
 
-use crate::approach::common;
+use std::collections::HashMap;
+
+use crate::approach::common::{self, FullSnapshot, Slots};
 use crate::approach::ModelSetSaver;
 use crate::commit;
 use crate::delta::{compress_delta, decompress_delta};
 use crate::env::ManagementEnv;
 use crate::model_set::{Derivation, ModelSet, ModelSetId};
 use crate::param_codec::{
-    decode_diff, decode_diff_compressed, decode_hashes, encode_concat_threaded, encode_diff,
-    encode_diff_compressed, encode_hashes, CompressedDiffEntry, DiffEntry,
+    decode_diff, decode_diff_compressed, decode_hashes, encode_diff, encode_diff_compressed,
+    encode_hashes, CompressedDiffEntry, DiffEntry,
 };
+use mmm_dnn::ParamDict;
 use mmm_util::{parallel, Error, Result};
 use serde_json::{json, Value};
 
@@ -72,59 +75,42 @@ impl UpdateSaver {
         format!("update/{doc_id}/diff.bin")
     }
 
-    /// Chunk-boundary hints for a hash table blob: one cut after the
-    /// 16-byte header, then one per model row, so an unchanged model's
-    /// row dedups against the predecessor's hash blob under CAS.
-    pub(crate) fn hashes_boundaries(hashes: &[Vec<u64>], blob_len: usize) -> Vec<usize> {
-        let n_layers = hashes.first().map(Vec::len).unwrap_or(0);
-        if n_layers == 0 {
-            return Vec::new();
-        }
-        let row = 8 * n_layers;
-        let mut out = Vec::new();
-        let mut off = 16usize;
-        while off < blob_len {
-            out.push(off);
-            off += row;
-        }
-        out
+    /// Put a set's hash table, cutting one chunk after the 16-byte
+    /// header and then one per model row, so an unchanged model's row
+    /// dedups against the predecessor's hash blob under CAS.
+    pub(crate) fn put_hash_table(
+        env: &ManagementEnv,
+        doc_id: u64,
+        hashes: &[Vec<u64>],
+    ) -> Result<()> {
+        let blob = encode_hashes(hashes);
+        let row = 8 * hashes.first().map_or(0, Vec::len);
+        let bounds: Vec<usize> = (16..blob.len()).step_by(row.max(1)).collect();
+        env.with_retry(|| {
+            env.blobs()
+                .put_with_boundaries(&Self::hashes_key(doc_id), &blob, &bounds)
+        })
     }
 
+    /// A full snapshot at chain depth `depth`: Baseline's artifacts plus
+    /// the hash table later derived saves diff against.
     fn save_full(&self, env: &ManagementEnv, set: &ModelSet, depth: u64) -> Result<ModelSetId> {
-        let mut doc = common::full_set_doc(self.name(), &set.arch, set.len())?;
-        doc.as_object_mut()
-            .ok_or_else(|| Error::invalid("full_set_doc did not return an object"))?
-            .insert("depth".into(), json!(depth));
-        let doc_id = {
-            let _span = env.obs().span("doc_insert");
-            env.with_retry(|| env.docs().insert(common::SETS_COLLECTION, doc.clone()))?
-        };
-        let params = {
-            let _span = env.obs().span("encode");
-            encode_concat_threaded(set.models(), env.threads())?
-        };
-        {
-            let _span = env.obs().span("blob_put");
-            let sizes = set.arch.parametric_layer_sizes();
-            env.with_retry(|| {
-                common::put_params_blob(env, &common::params_key(self.name(), doc_id), &params, &sizes)
-            })?;
-        }
-        let hashes = {
-            let _span = env.obs().span("hash");
-            Self::layer_hash_table(env, set)
-        };
-        let hash_blob = encode_hashes(&hashes);
-        {
-            let _span = env.obs().span("blob_put");
-            let bounds = Self::hashes_boundaries(&hashes, hash_blob.len());
-            env.with_retry(|| {
-                env.blobs().put_with_boundaries(&Self::hashes_key(doc_id), &hash_blob, &bounds)
-            })?;
-        }
-        let id = ModelSetId { approach: self.name().into(), key: doc_id.to_string() };
-        commit::commit_save(env, &id)?;
-        Ok(id)
+        common::save_full_snapshot(
+            env,
+            self.name(),
+            &set.arch,
+            set.len(),
+            &[("depth", json!(depth))],
+            common::records_of(set),
+            |doc_id| {
+                let hashes = {
+                    let _span = env.obs().span("hash");
+                    Self::layer_hash_table(env, set)
+                };
+                let _span = env.obs().span("blob_put");
+                Self::put_hash_table(env, doc_id, &hashes)
+            },
+        )
     }
 
     /// Per-model, per-layer content hashes, computed across the
@@ -133,6 +119,28 @@ impl UpdateSaver {
     fn layer_hash_table(env: &ManagementEnv, set: &ModelSet) -> Vec<Vec<u64>> {
         let models = set.models();
         parallel::map(env.threads(), models.len(), |i| models[i].layer_hashes())
+    }
+
+    /// Whole-set (`None`) or selective recovery through the shared
+    /// chain skeleton: ranged reads of the selected models from the
+    /// chain's full snapshot, then diff replay filtered to those models
+    /// — `k/n` of the snapshot plus the (small) diff blobs.
+    fn recover(
+        &self,
+        env: &ManagementEnv,
+        id: &ModelSetId,
+        indices: Option<&[usize]>,
+    ) -> Result<ModelSet> {
+        common::recover_chain(
+            env,
+            self.name(),
+            id,
+            indices,
+            parse_diff_level,
+            |_arch, models, slots, doc_id, compressed| {
+                apply_diff_level(env, models, slots, doc_id, *compressed)
+            },
+        )
     }
 }
 
@@ -264,149 +272,26 @@ impl ModelSetSaver for UpdateSaver {
             "n_changed_layers": changed.len(),
             "depth": depth,
         });
-        let doc_id = {
-            let _span = env.obs().span("doc_insert");
-            env.with_retry(|| env.docs().insert(common::SETS_COLLECTION, doc.clone()))?
-        };
+        let doc_id = common::insert_set_doc(env, &doc)?;
         {
             let _span = env.obs().span("blob_put");
             env.with_retry(|| env.blobs().put(&Self::diff_key(doc_id), &diff_blob))?;
-            let hash_blob = encode_hashes(&hashes);
-            let bounds = Self::hashes_boundaries(&hashes, hash_blob.len());
-            env.with_retry(|| {
-                env.blobs().put_with_boundaries(&Self::hashes_key(doc_id), &hash_blob, &bounds)
-            })?;
+            Self::put_hash_table(env, doc_id, &hashes)?;
         }
-        let id = ModelSetId { approach: self.name().into(), key: doc_id.to_string() };
-        commit::commit_save(env, &id)?;
-        Ok(id)
+        common::commit_set(env, self.name(), doc_id)
     }
 
     fn recover_set(&self, env: &ManagementEnv, id: &ModelSetId) -> Result<ModelSet> {
-        if id.approach != self.name() {
-            return Err(Error::invalid(format!(
-                "update cannot recover a {:?} set",
-                id.approach
-            )));
-        }
-        commit::require_committed(env, id)?;
-
-        // Walk the chain back to the newest full snapshot.
-        let mut chain: Vec<(u64, bool)> = Vec::new(); // (doc id, compressed), newest first
-        let (root, root_doc) = {
-            let _span = env.obs().span("chain_walk");
-            let mut cursor = common::doc_id_of(id)?;
-            loop {
-                let doc = env.docs().get(common::SETS_COLLECTION, cursor)?;
-                match doc.get("kind").and_then(Value::as_str) {
-                    Some("full") => break (cursor, doc),
-                    Some(kind @ ("diff" | "diffz")) => {
-                        chain.push((cursor, kind == "diffz"));
-                        cursor = doc
-                            .get("base")
-                            .and_then(Value::as_str)
-                            .and_then(|s| s.parse::<u64>().ok())
-                            .ok_or_else(|| Error::corrupt("diff set document without base"))?;
-                    }
-                    other => {
-                        return Err(Error::corrupt(format!("unknown set kind {other:?}")));
-                    }
-                }
-            }
-        };
-        let mut set = {
-            let _span = env.obs().span("base_snapshot");
-            common::recover_full(env, self.name(), root, &root_doc)?
-        };
-
-        // Apply diffs oldest → newest. `set` holds exactly the level the
-        // delta was computed against, so decompression is in-place.
-        let _span = env.obs().span("diff_apply");
-        for &(doc_id, compressed) in chain.iter().rev() {
-            apply_diff_level(env, &mut set, doc_id, compressed)?;
-        }
-        Ok(set)
+        self.recover(env, id, None)
     }
 
-    /// Selective recovery: ranged reads of the selected models from the
-    /// chain's full snapshot, then diff replay filtered to those models.
-    /// Transfers `k/n` of the snapshot plus the (small) diff blobs.
     fn recover_models(
         &self,
         env: &ManagementEnv,
         id: &ModelSetId,
         indices: &[usize],
-    ) -> Result<Vec<mmm_dnn::ParamDict>> {
-        if id.approach != self.name() {
-            return Err(Error::invalid(format!(
-                "update cannot recover a {:?} set",
-                id.approach
-            )));
-        }
-        commit::require_committed(env, id)?;
-        // Walk the chain back to the newest full snapshot.
-        let mut chain: Vec<(u64, bool)> = Vec::new();
-        let (root, root_doc) = {
-            let _span = env.obs().span("chain_walk");
-            let mut cursor = common::doc_id_of(id)?;
-            loop {
-                let doc = env.docs().get(common::SETS_COLLECTION, cursor)?;
-                match doc.get("kind").and_then(Value::as_str) {
-                    Some("full") => break (cursor, doc),
-                    Some(kind @ ("diff" | "diffz")) => {
-                        chain.push((cursor, kind == "diffz"));
-                        cursor = doc
-                            .get("base")
-                            .and_then(Value::as_str)
-                            .and_then(|s| s.parse::<u64>().ok())
-                            .ok_or_else(|| Error::corrupt("diff set document without base"))?;
-                    }
-                    other => return Err(Error::corrupt(format!("unknown set kind {other:?}"))),
-                }
-            }
-        };
-        let mut selected: Vec<mmm_dnn::ParamDict> = {
-            let _span = env.obs().span("base_snapshot");
-            common::recover_full_models(env, self.name(), root, &root_doc, indices)?
-        };
-
-        // Position of each selected model index within `selected`.
-        let pos: std::collections::HashMap<usize, usize> =
-            indices.iter().enumerate().map(|(p, &i)| (i, p)).collect();
-
-        let _span = env.obs().span("diff_apply");
-        for &(doc_id, compressed) in chain.iter().rev() {
-            let blob = env.blobs().get(&Self::diff_key(doc_id))?;
-            if compressed {
-                for e in decode_diff_compressed(&blob)? {
-                    if let Some(&p) = pos.get(&(e.model_idx as usize)) {
-                        let layer = selected[p]
-                            .layers
-                            .get_mut(e.layer_idx as usize)
-                            .ok_or_else(|| Error::corrupt("diff layer index out of range"))?;
-                        let data = decompress_delta(&layer.data, &e.blob)?;
-                        if layer.data.len() != data.len() {
-                            return Err(Error::corrupt("diff entry size mismatch"));
-                        }
-                        layer.data = data;
-                    }
-                }
-            } else {
-                for e in decode_diff(&blob)? {
-                    if let Some(&p) = pos.get(&(e.model_idx as usize)) {
-                        let layer = selected[p]
-                            .layers
-                            .get_mut(e.layer_idx as usize)
-                            .ok_or_else(|| Error::corrupt("diff layer index out of range"))?;
-                        if layer.data.len() != e.data.len() {
-                            return Err(Error::corrupt("diff entry size mismatch"));
-                        }
-                        layer.data = e.data;
-                    }
-                }
-            }
-        }
-        Ok(selected)
+    ) -> Result<Vec<ParamDict>> {
+        Ok(self.recover(env, id, Some(indices))?.models)
     }
 }
 
@@ -420,93 +305,92 @@ impl UpdateSaver {
     /// loading a whole timeline wants. Trades memory (one cached set
     /// per distinct chain node) for store round-trips and compute.
     pub fn recover_many(&self, env: &ManagementEnv, ids: &[ModelSetId]) -> Result<Vec<ModelSet>> {
-        use std::collections::HashMap;
         let mut cache: HashMap<u64, ModelSet> = HashMap::new();
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
-            if id.approach != self.name() {
-                return Err(Error::invalid(format!(
-                    "update cannot recover a {:?} set",
-                    id.approach
-                )));
+            common::guard(env, self.name(), id)?;
+            // Walk back only until a cached node (or the full snapshot).
+            let start = common::doc_id_of(id)?;
+            let walk = common::walk(
+                env,
+                start,
+                |node| cache.contains_key(&node),
+                parse_diff_level,
+            )?;
+            let mut set = match &walk.full {
+                Some(doc) => FullSnapshot::open(self.name(), walk.end, doc)?.read(env, None)?,
+                None => cache[&walk.end].clone(),
+            };
+            cache.entry(walk.end).or_insert_with(|| set.clone());
+            let slots = Slots::All(set.len());
+            for &(doc_id, compressed) in walk.chain.iter().rev() {
+                apply_diff_level(env, &mut set.models, &slots, doc_id, compressed)?;
+                cache.insert(doc_id, set.clone());
             }
-            commit::require_committed(env, id)?;
-            let key = common::doc_id_of(id)?;
-            let set = self.recover_cached(env, key, &mut cache)?;
             out.push(set);
         }
         Ok(out)
     }
+}
 
-    fn recover_cached(
-        &self,
-        env: &ManagementEnv,
-        key: u64,
-        cache: &mut std::collections::HashMap<u64, ModelSet>,
-    ) -> Result<ModelSet> {
-        if let Some(hit) = cache.get(&key) {
-            return Ok(hit.clone());
-        }
-        // Walk back only until a cached node (or the full snapshot).
-        let mut chain: Vec<(u64, bool)> = Vec::new();
-        let mut cursor = key;
-        let mut set = loop {
-            if let Some(hit) = cache.get(&cursor) {
-                break hit.clone();
-            }
-            let doc = env.docs().get(common::SETS_COLLECTION, cursor)?;
-            match doc.get("kind").and_then(Value::as_str) {
-                Some("full") => {
-                    let s = common::recover_full(env, self.name(), cursor, &doc)?;
-                    cache.insert(cursor, s.clone());
-                    break s;
-                }
-                Some(kind @ ("diff" | "diffz")) => {
-                    chain.push((cursor, kind == "diffz"));
-                    cursor = doc
-                        .get("base")
-                        .and_then(Value::as_str)
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .ok_or_else(|| Error::corrupt("diff set document without base"))?;
-                }
-                other => return Err(Error::corrupt(format!("unknown set kind {other:?}"))),
-            }
-        };
-        for &(doc_id, compressed) in chain.iter().rev() {
-            apply_diff_level(env, &mut set, doc_id, compressed)?;
-            cache.insert(doc_id, set.clone());
-        }
-        Ok(set)
+/// Parse one derived level's set document: is its diff blob compressed?
+fn parse_diff_level(doc: &Value) -> Result<bool> {
+    match doc.get("kind").and_then(Value::as_str) {
+        Some("diff") => Ok(false),
+        Some("diffz") => Ok(true),
+        other => Err(Error::corrupt(format!("unknown set kind {other:?}"))),
     }
 }
 
-/// Apply one chain level's diff blob to `set` in place.
-fn apply_diff_level(env: &ManagementEnv, set: &mut ModelSet, doc_id: u64, compressed: bool) -> Result<()> {
+/// Apply one chain level's diff blob, in place, to the models `slots`
+/// holds; entries for models outside the selection are skipped unread.
+/// `models` holds exactly the level the deltas were computed against.
+fn apply_diff_level(
+    env: &ManagementEnv,
+    models: &mut [ParamDict],
+    slots: &Slots,
+    doc_id: u64,
+    compressed: bool,
+) -> Result<()> {
+    let _span = env.obs().span("diff_apply");
     let blob = env.blobs().get(&UpdateSaver::diff_key(doc_id))?;
-    let entries: Vec<DiffEntry> = if compressed {
-        // XOR-decompress every entry against the (read-only) base level
-        // across the thread budget, then apply the writes sequentially
-        // below. Entry order follows the blob, so results are identical
-        // for every thread count.
-        let raw = decode_diff_compressed(&blob)?;
-        parallel::try_map(env.threads(), raw.len(), |i| {
-            let e = &raw[i];
-            let base = layer_of(set, e.model_idx, e.layer_idx)?;
-            Ok(DiffEntry {
-                model_idx: e.model_idx,
-                layer_idx: e.layer_idx,
-                data: decompress_delta(base, &e.blob)?,
-            })
+    let entries: Vec<(usize, DiffEntry)> = if compressed {
+        // XOR-decompress every selected entry against the (read-only)
+        // base level across the thread budget, then apply the writes
+        // sequentially below. Entry order follows the blob, so results
+        // are identical for every thread count.
+        let picked = select(slots, decode_diff_compressed(&blob)?, |e| e.model_idx)?;
+        parallel::try_map(env.threads(), picked.len(), |i| {
+            let (
+                slot,
+                CompressedDiffEntry {
+                    model_idx,
+                    layer_idx,
+                    blob,
+                },
+            ) = &picked[i];
+            let base = models[*slot]
+                .layers
+                .get(*layer_idx as usize)
+                .ok_or_else(|| layer_out_of_range(*model_idx, *layer_idx))?;
+            let data = decompress_delta(&base.data, blob)?;
+            Ok((
+                *slot,
+                DiffEntry {
+                    model_idx: *model_idx,
+                    layer_idx: *layer_idx,
+                    data,
+                },
+            ))
         })?
     } else {
-        decode_diff(&blob)?
+        select(slots, decode_diff(&blob)?, |e| e.model_idx)?
     };
-    for e in entries {
-        let layer = set
-            .models
-            .get_mut(e.model_idx as usize)
-            .and_then(|m| m.layers.get_mut(e.layer_idx as usize))
-            .ok_or_else(|| Error::corrupt(format!("diff index ({}, {}) out of range", e.model_idx, e.layer_idx)))?;
+    for (slot, e) in entries {
+        let layer = models[slot]
+            .layers
+            .get_mut(e.layer_idx as usize)
+            .ok_or_else(|| layer_out_of_range(e.model_idx, e.layer_idx))?;
         if layer.data.len() != e.data.len() {
             return Err(Error::corrupt(format!(
                 "diff entry for model {} layer {} has {} params, expected {}",
@@ -521,17 +405,25 @@ fn apply_diff_level(env: &ManagementEnv, set: &mut ModelSet, doc_id: u64, compre
     Ok(())
 }
 
-/// Borrow one layer's data out of a recovered set (bounds-checked).
-fn layer_of(set: &ModelSet, model_idx: u32, layer_idx: u32) -> Result<&[f32]> {
-    set.models
-        .get(model_idx as usize)
-        .and_then(|m| m.layers.get(layer_idx as usize))
-        .map(|l| l.data.as_slice())
-        .ok_or_else(|| {
-            Error::corrupt(format!(
-                "compressed diff index ({model_idx}, {layer_idx}) out of range"
-            ))
-        })
+/// Pair each diff entry whose model is being recovered with its slot.
+fn select<E>(
+    slots: &Slots,
+    entries: Vec<E>,
+    model_idx: impl Fn(&E) -> u32,
+) -> Result<Vec<(usize, E)>> {
+    let mut picked = Vec::with_capacity(entries.len());
+    for e in entries {
+        if let Some(slot) = slots.of(model_idx(&e) as usize)? {
+            picked.push((slot, e));
+        }
+    }
+    Ok(picked)
+}
+
+fn layer_out_of_range(model_idx: u32, layer_idx: u32) -> Error {
+    Error::corrupt(format!(
+        "diff layer index ({model_idx}, {layer_idx}) out of range"
+    ))
 }
 
 #[cfg(test)]

@@ -189,20 +189,13 @@ pub fn fork(env: &ManagementEnv, source: &ModelSetId, back: usize, name: &str) -
         "depth": depth + 1,
         "branch": name,
     });
-    let fork_doc_id = {
-        let _span = env.obs().span("doc_insert");
-        env.with_retry(|| env.docs().insert(common::SETS_COLLECTION, doc.clone()))?
-    };
+    let fork_doc_id = common::insert_set_doc(env, &doc)?;
     {
         let _span = env.obs().span("blob_put");
         let empty = encode_diff(&[])?;
         env.with_retry(|| env.blobs().put(&UpdateSaver::diff_key(fork_doc_id), &empty))?;
-        let hash_blob = env.blobs().get(&UpdateSaver::hashes_key(node_doc_id))?;
-        let hashes = decode_hashes(&hash_blob)?;
-        let bounds = UpdateSaver::hashes_boundaries(&hashes, hash_blob.len());
-        env.with_retry(|| {
-            env.blobs().put_with_boundaries(&UpdateSaver::hashes_key(fork_doc_id), &hash_blob, &bounds)
-        })?;
+        let hashes = decode_hashes(&env.blobs().get(&UpdateSaver::hashes_key(node_doc_id))?)?;
+        UpdateSaver::put_hash_table(env, fork_doc_id, &hashes)?;
     }
     let head = ModelSetId { approach: "update".into(), key: fork_doc_id.to_string() };
     let branch_doc = json!({

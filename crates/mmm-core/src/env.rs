@@ -13,11 +13,10 @@ use mmm_util::{Error, Result, VirtualClock};
 
 use crate::fleet::GroupCommitter;
 
-/// Default save-path streaming threshold/chunk: parameter sets whose
-/// concatenated blob stays under this are encoded in one block (small
-/// sets keep the exact code path every existing test pins); larger sets
-/// are encoded and written in chunks of this size so peak staging memory
-/// is O(chunk), not O(set).
+/// Default staging-chunk size of the save path: a full snapshot's
+/// parameter blob is encoded into a buffer of at most this many bytes
+/// and streamed to the store chunk by chunk, so peak staging memory is
+/// O(min(chunk, set)), never O(set).
 pub const DEFAULT_STREAM_CHUNK_BYTES: usize = 16 << 20;
 
 /// Bounded-backoff retry policy for [`mmm_util::Error::Transient`]
@@ -79,9 +78,8 @@ pub struct ManagementEnv {
 }
 
 /// Staged configuration for [`ManagementEnv::builder`] — the one place
-/// every environment knob lives. `open`, `open_with_faults`, and the
-/// `with_*` builder methods on [`ManagementEnv`] are all thin wrappers
-/// over this.
+/// every environment knob lives ([`ManagementEnv::open`] is the builder
+/// with every knob at its default).
 #[must_use = "EnvBuilder does nothing until .open() is called"]
 pub struct EnvBuilder {
     dir: PathBuf,
@@ -94,7 +92,6 @@ pub struct EnvBuilder {
     cas_config: CasConfig,
     breaker: BreakerConfig,
     commit_window: Duration,
-    cold_profile: Option<LatencyProfile>,
     stream_chunk_bytes: usize,
 }
 
@@ -106,8 +103,12 @@ impl EnvBuilder {
         self
     }
 
-    /// Install an observer at open time (see
-    /// [`ManagementEnv::with_observer`]).
+    /// Install an observer: spans/metrics flow from the environment,
+    /// both stores, the retry path, and every saver that runs on this
+    /// environment. The observer's simulated-duration measurements use
+    /// this environment's clock. Observability is strictly read-only:
+    /// stored bytes, statistics, and clock charges are identical with
+    /// or without it.
     pub fn observer(mut self, obs: Observer) -> Self {
         self.observer = Some(obs);
         self
@@ -120,6 +121,8 @@ impl EnvBuilder {
     }
 
     /// Set the worker-thread budget for parallel save/recover sections.
+    /// `1` (the default) runs every hot path inline, bit-identical to
+    /// the sequential engine.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -141,13 +144,6 @@ impl EnvBuilder {
         self
     }
 
-    /// Chunk size for content-addressed storage (ignored by the plain
-    /// backend).
-    pub fn chunk_size(mut self, bytes: usize) -> Self {
-        self.cas_config.chunk_size = bytes.max(1);
-        self
-    }
-
     /// Tune the per-backend circuit breakers (defaults are production
     /// defaults; tests tighten the threshold/cooldown).
     pub fn breaker(mut self, config: BreakerConfig) -> Self {
@@ -155,17 +151,9 @@ impl EnvBuilder {
         self
     }
 
-    /// Latency profile of the cold tier (only meaningful with the
-    /// `tiered` backend; defaults to [`LatencyProfile::object_store`]).
-    pub fn cold_profile(mut self, profile: LatencyProfile) -> Self {
-        self.cold_profile = Some(profile);
-        self
-    }
-
-    /// Streaming threshold and chunk size for the save path (see
-    /// [`DEFAULT_STREAM_CHUNK_BYTES`]). Lowering it forces the streaming
-    /// encoder on small sets — scale tests use this to exercise the
-    /// chunked path without gigabytes of models.
+    /// Staging-chunk size of the save path (see
+    /// [`DEFAULT_STREAM_CHUNK_BYTES`]). Scale tests lower it to prove
+    /// O(chunk) staging without gigabytes of models.
     pub fn stream_chunk_bytes(mut self, bytes: usize) -> Self {
         self.stream_chunk_bytes = bytes.max(1);
         self
@@ -196,18 +184,17 @@ impl EnvBuilder {
         // counts, touches disk, or charges latency.
         let gate = ServiceGate::new(clock.clone(), self.breaker);
         faults.install_gate(gate.clone());
-        let docs = DocumentStore::open_with_faults(
+        let mut docs = DocumentStore::open_with_faults(
             dir.join("docs"),
             self.profile,
             clock.clone(),
             stats.clone(),
             faults.clone(),
         )?;
-        let blobs = BlobStore::open(
+        let mut blobs = BlobStore::open(
             backend,
             dir.join("blobs"),
             self.profile,
-            self.cold_profile,
             clock.clone(),
             stats.clone(),
             faults.clone(),
@@ -217,7 +204,11 @@ impl EnvBuilder {
         // storage metric "does not include the storage consumption of
         // referenced models" or data saved outside model management.
         let registry = DatasetRegistry::open(dir.join("datasets"))?;
-        let env = ManagementEnv {
+        let obs = self.observer.unwrap_or_else(Observer::disabled);
+        obs.attach_clock(&clock);
+        docs.set_observer(obs.clone());
+        blobs.set_observer(obs.clone());
+        Ok(ManagementEnv {
             clock,
             stats,
             docs,
@@ -227,14 +218,10 @@ impl EnvBuilder {
             retry: self.retry.unwrap_or_default(),
             threads: self.threads,
             profile: self.profile,
-            obs: Observer::disabled(),
+            obs,
             gate,
             commit_gate: GroupCommitter::with_window(self.commit_window),
             stream_chunk_bytes: self.stream_chunk_bytes,
-        };
-        Ok(match self.observer {
-            Some(obs) => env.with_observer(obs),
-            None => env,
         })
     }
 }
@@ -299,7 +286,6 @@ impl ManagementEnv {
             cas_config: CasConfig::default(),
             breaker: BreakerConfig::default(),
             commit_window: Duration::ZERO,
-            cold_profile: None,
             stream_chunk_bytes: DEFAULT_STREAM_CHUNK_BYTES,
         }
     }
@@ -311,30 +297,6 @@ impl ManagementEnv {
         Self::builder(dir, profile).open()
     }
 
-    /// Open an environment whose stores share the given fault-injection
-    /// handle (crash-recovery tests; a disarmed injector is free).
-    pub fn open_with_faults(
-        dir: impl AsRef<Path>,
-        profile: LatencyProfile,
-        faults: FaultInjector,
-    ) -> Result<Self> {
-        Self::builder(dir, profile).faults(faults).open()
-    }
-
-    /// Install an observer (builder style): spans/metrics flow from the
-    /// environment, both stores, the retry path, and every saver that
-    /// runs on this environment. The observer's simulated-duration
-    /// measurements use this environment's clock. Observability is
-    /// strictly read-only: stored bytes, statistics, and clock charges
-    /// are identical with or without it.
-    pub fn with_observer(mut self, obs: Observer) -> Self {
-        obs.attach_clock(&self.clock);
-        self.docs.set_observer(obs.clone());
-        self.blobs.set_observer(obs.clone());
-        self.obs = obs;
-        self
-    }
-
     /// The installed observer (disabled by default — safe to call into
     /// unconditionally).
     pub fn obs(&self) -> &Observer {
@@ -344,20 +306,6 @@ impl ManagementEnv {
     /// The store latency profile this environment was opened with.
     pub fn profile(&self) -> LatencyProfile {
         self.profile
-    }
-
-    /// Replace the transient-fault retry policy (builder style).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Set the worker-thread budget for parallel save/recover sections
-    /// (builder style). `1` (the default) runs every hot path inline,
-    /// bit-identical to the sequential engine.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// The worker-thread budget for parallel save/recover sections.
@@ -487,7 +435,7 @@ impl ManagementEnv {
         self.blobs.tiered()
     }
 
-    /// The save path's streaming threshold/chunk size in bytes.
+    /// The save path's staging-chunk size in bytes.
     pub fn stream_chunk_bytes(&self) -> usize {
         self.stream_chunk_bytes
     }
@@ -558,9 +506,10 @@ mod tests {
         use mmm_store::{FaultPlan, FaultTarget, OpClass};
         let dir = TempDir::new("mmm-env").unwrap();
         let faults = mmm_store::FaultInjector::new();
-        let env =
-            ManagementEnv::open_with_faults(dir.path(), LatencyProfile::zero(), faults.clone())
-                .unwrap();
+        let env = ManagementEnv::builder(dir.path(), LatencyProfile::zero())
+            .faults(faults.clone())
+            .open()
+            .unwrap();
         faults.arm(FaultPlan::transient_at(FaultTarget::Class(OpClass::BlobPut), 0, 2));
         let before = env.clock().simulated();
         env.with_retry(|| env.blobs().put("k", b"v")).unwrap();
@@ -576,14 +525,15 @@ mod tests {
         use mmm_util::Error;
         let dir = TempDir::new("mmm-env").unwrap();
         let faults = mmm_store::FaultInjector::new();
-        let env =
-            ManagementEnv::open_with_faults(dir.path(), LatencyProfile::zero(), faults.clone())
-                .unwrap()
-                .with_retry_policy(RetryPolicy {
-                    max_attempts: 2,
-                    base_backoff: Duration::from_millis(1),
-                    ..RetryPolicy::default()
-                });
+        let env = ManagementEnv::builder(dir.path(), LatencyProfile::zero())
+            .faults(faults.clone())
+            .retry_policy(RetryPolicy {
+                max_attempts: 2,
+                base_backoff: Duration::from_millis(1),
+                ..RetryPolicy::default()
+            })
+            .open()
+            .unwrap();
         faults.arm(FaultPlan::transient_at(FaultTarget::Class(OpClass::BlobPut), 0, 5));
         assert!(matches!(
             env.with_retry(|| env.blobs().put("k", b"v")),
@@ -621,10 +571,11 @@ mod tests {
         // retry without panicking and charge exactly the cap.
         let dir = TempDir::new("mmm-env").unwrap();
         let faults = mmm_store::FaultInjector::new();
-        let env =
-            ManagementEnv::open_with_faults(dir.path(), LatencyProfile::zero(), faults.clone())
-                .unwrap()
-                .with_retry_policy(policy);
+        let env = ManagementEnv::builder(dir.path(), LatencyProfile::zero())
+            .faults(faults.clone())
+            .retry_policy(policy)
+            .open()
+            .unwrap();
         faults.arm(FaultPlan::transient_at(FaultTarget::Class(OpClass::BlobPut), 0, 1));
         let before = env.clock().simulated();
         env.with_retry(|| env.blobs().put("k", b"v")).unwrap();
@@ -659,7 +610,6 @@ mod tests {
         let env = ManagementEnv::builder(dir.path(), LatencyProfile::zero())
             .backend(StorageBackend::Cas)
             .cache_bytes(1024 * 1024)
-            .chunk_size(512)
             .threads(4)
             .open()
             .unwrap();
@@ -667,7 +617,6 @@ mod tests {
         assert_eq!(env.threads(), 4);
         let cas = env.cas().expect("cas store");
         assert_eq!(cas.config().cache_bytes, 1024 * 1024);
-        assert_eq!(cas.config().chunk_size, 512);
         env.blobs().put("x", &[7u8; 2048]).unwrap();
         assert_eq!(env.blobs().get("x").unwrap(), vec![7u8; 2048]);
     }
@@ -678,7 +627,6 @@ mod tests {
         let dir = TempDir::new("mmm-env").unwrap();
         let env = ManagementEnv::builder(dir.path(), LatencyProfile::zero())
             .backend(StorageBackend::Tiered)
-            .cold_profile(LatencyProfile::object_store())
             .stream_chunk_bytes(4096)
             .open()
             .unwrap();

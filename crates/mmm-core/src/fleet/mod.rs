@@ -533,6 +533,14 @@ mod tests {
             self.release.recv().ok();
             self.inner.recover_set(env, id)
         }
+        fn recover_models(
+            &self,
+            env: &ManagementEnv,
+            id: &ModelSetId,
+            indices: &[usize],
+        ) -> Result<Vec<mmm_dnn::ParamDict>> {
+            self.inner.recover_models(env, id, indices)
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use mmm_dnn::{LayerParams, ParamDict};
 use mmm_util::codec::{put_f32_slice, put_str, put_u32, put_u64, Reader};
-use mmm_util::{mem, parallel, Error, Result};
+use mmm_util::{mem, Error, Result};
 
 /// Checked size of a concatenated set blob: `4 × per_model × n_models`.
 ///
@@ -47,50 +47,31 @@ pub fn per_model_params(layer_sizes: &[usize]) -> Result<usize> {
         .ok_or_else(|| Error::corrupt("per-model parameter count overflows"))
 }
 
-/// Encode a whole set's parameters as one raw `f32` blob (Baseline).
-///
-/// Errors only on size-arithmetic overflow (a set too large for the
-/// address space), never on content.
-pub fn encode_concat(models: &[ParamDict]) -> Result<Vec<u8>> {
-    let per_model: usize = models.first().map(|m| m.param_count()).unwrap_or(0);
-    let cap = concat_blob_len(per_model, models.len())?;
-    let _lease = mem::lease(cap);
-    let mut buf = Vec::with_capacity(cap);
-    for m in models {
-        for l in &m.layers {
-            put_f32_slice(&mut buf, &l.data);
-        }
+/// Append one model's parameters in concat order — the fixed-size
+/// *model record* every concat encoder is a loop over.
+pub fn append_model_record(dict: &ParamDict, buf: &mut Vec<u8>) {
+    for l in &dict.layers {
+        put_f32_slice(buf, &l.data);
     }
-    Ok(buf)
 }
 
-/// [`encode_concat`] with the per-model chunks filled on up to `threads`
-/// worker threads. The format has no framing, so every model's bytes
-/// land at a fixed offset (`model_idx × 4 × params_per_model`) and the
-/// output is byte-identical for every thread count. Falls back to the
-/// sequential encoder for degenerate inputs (a single model, empty
-/// models, or a ragged set whose models disagree on parameter count).
-pub fn encode_concat_threaded(models: &[ParamDict], threads: usize) -> Result<Vec<u8>> {
-    let per_model: usize = models.first().map(|m| m.param_count()).unwrap_or(0);
-    let uniform = models.iter().all(|m| m.param_count() == per_model);
-    if threads <= 1 || models.len() <= 1 || per_model == 0 || !uniform {
-        return encode_concat(models);
+/// Decode one model record — the inverse of [`append_model_record`],
+/// given the per-layer names and sizes from the set's architecture
+/// metadata. Every concat decoder is a loop over this.
+pub(crate) fn decode_model_record(
+    record: &[u8],
+    layer_names: &[String],
+    layer_sizes: &[usize],
+) -> Result<ParamDict> {
+    let mut r = Reader::new(record);
+    let mut layers = Vec::with_capacity(layer_sizes.len());
+    for (name, &size) in layer_names.iter().zip(layer_sizes) {
+        layers.push(LayerParams {
+            name: name.clone(),
+            data: r.f32_slice(size)?,
+        });
     }
-    let model_bytes = concat_blob_len(per_model, 1)?;
-    let total = concat_blob_len(per_model, models.len())?;
-    let _lease = mem::lease(total);
-    let mut buf = vec![0u8; total];
-    let mut chunks: Vec<&mut [u8]> = buf.chunks_mut(model_bytes).collect();
-    parallel::for_each_slot(threads, &mut chunks, |i, chunk| {
-        let mut off = 0;
-        for l in &models[i].layers {
-            for v in &l.data {
-                chunk[off..off + 4].copy_from_slice(&v.to_le_bytes());
-                off += 4;
-            }
-        }
-    });
-    Ok(buf)
+    Ok(ParamDict { layers })
 }
 
 /// Validate that `bytes` is exactly one concat blob for the given shape,
@@ -107,64 +88,37 @@ fn check_concat_shape(bytes: &[u8], n_models: usize, layer_sizes: &[usize]) -> R
     Ok(per_model)
 }
 
-/// Decode a concatenated set blob back into per-model dictionaries, given
-/// the per-layer names and sizes from the set's architecture metadata.
-pub fn decode_concat(
-    bytes: &[u8],
+/// Shape-check a concat blob once, then hand back the decoder of its
+/// `i`-th model record. Every whole-blob decoder is this function under
+/// a different loop: collect, visit, or `parallel::try_map`.
+pub(crate) fn record_decoder<'a>(
+    bytes: &'a [u8],
     n_models: usize,
-    layer_names: &[String],
-    layer_sizes: &[usize],
-) -> Result<Vec<ParamDict>> {
-    check_concat_shape(bytes, n_models, layer_sizes)?;
-    let mut r = Reader::new(bytes);
-    let mut out = Vec::with_capacity(n_models);
-    for _ in 0..n_models {
-        let mut layers = Vec::with_capacity(layer_sizes.len());
-        for (name, &size) in layer_names.iter().zip(layer_sizes) {
-            layers.push(LayerParams { name: name.clone(), data: r.f32_slice(size)? });
-        }
-        out.push(ParamDict { layers });
-    }
-    Ok(out)
+    layer_names: &'a [String],
+    layer_sizes: &'a [usize],
+) -> Result<impl Fn(usize) -> Result<ParamDict> + Sync + 'a> {
+    let record = 4 * check_concat_shape(bytes, n_models, layer_sizes)?;
+    Ok(move |i| decode_model_record(&bytes[i * record..][..record], layer_names, layer_sizes))
 }
 
-/// [`decode_concat`] with the per-model chunks decoded on up to
-/// `threads` worker threads. Identical results for every thread count.
-pub fn decode_concat_threaded(
-    bytes: &[u8],
-    n_models: usize,
-    layer_names: &[String],
-    layer_sizes: &[usize],
-    threads: usize,
-) -> Result<Vec<ParamDict>> {
-    if threads <= 1 || n_models <= 1 {
-        return decode_concat(bytes, n_models, layer_names, layer_sizes);
-    }
-    let per_model = check_concat_shape(bytes, n_models, layer_sizes)?;
-    parallel::try_map(threads, n_models, |i| {
-        let mut r = Reader::new(&bytes[4 * per_model * i..4 * per_model * (i + 1)]);
-        let mut layers = Vec::with_capacity(layer_sizes.len());
-        for (name, &size) in layer_names.iter().zip(layer_sizes) {
-            layers.push(LayerParams { name: name.clone(), data: r.f32_slice(size)? });
-        }
-        Ok(ParamDict { layers })
-    })
-}
-
-/// Append one model's parameters in concat order — the unit record of
-/// [`encode_concat`], for feeding [`encode_concat_stream`] from models
-/// that exist one at a time.
-pub fn append_model_record(dict: &ParamDict, buf: &mut Vec<u8>) {
-    for l in &dict.layers {
-        put_f32_slice(buf, &l.data);
-    }
+/// Encode a whole set's parameters as one raw `f32` blob (Baseline).
+///
+/// Errors only on size-arithmetic overflow (a set too large for the
+/// address space), never on content.
+pub fn encode_concat(models: &[ParamDict]) -> Result<Vec<u8>> {
+    let per_model: usize = models.first().map(|m| m.param_count()).unwrap_or(0);
+    let cap = concat_blob_len(per_model, models.len())?;
+    let _lease = mem::lease(cap);
+    let mut buf = Vec::with_capacity(cap);
+    models.iter().for_each(|m| append_model_record(m, &mut buf));
+    Ok(buf)
 }
 
 /// Streaming counterpart of [`encode_concat`]: models are appended to a
 /// bounded chunk buffer by the `append_model` callback and flushed to
 /// `sink` whenever the buffer reaches `chunk_bytes`, so peak staging
-/// memory is O(chunk), not O(set). The concatenation of all sink calls
-/// is byte-identical to [`encode_concat`] of the same models.
+/// memory is O(min(chunk, set)), not O(set). The concatenation of all
+/// sink calls is byte-identical to [`encode_concat`] of the same models.
 ///
 /// `append_model(i, buf)` must append exactly `model_bytes` bytes for
 /// model `i` (the fixed-offset concat format depends on it); a callback
@@ -178,18 +132,20 @@ pub fn encode_concat_stream(
     mut append_model: impl FnMut(usize, &mut Vec<u8>) -> Result<()>,
     mut sink: impl FnMut(&[u8]) -> Result<()>,
 ) -> Result<()> {
-    model_bytes.checked_mul(n_models).ok_or_else(|| {
+    let total = model_bytes.checked_mul(n_models).ok_or_else(|| {
         Error::invalid(format!(
             "set parameter blob size overflows: {n_models} models x {model_bytes} bytes"
         ))
     })?;
     let cap = chunk_bytes.max(model_bytes).max(1);
     // The buffer flushes at >= cap, so it never holds more than
-    // cap - 1 + model_bytes bytes; reserving exactly that keeps the
-    // allocation from doubling past the leased amount.
+    // cap - 1 + model_bytes bytes (or the whole set, if that is
+    // smaller); reserving exactly that keeps the allocation from
+    // doubling past the leased amount.
     let reserve = cap
         .checked_add(model_bytes)
-        .ok_or_else(|| Error::invalid("stream chunk size overflows"))?;
+        .ok_or_else(|| Error::invalid("stream chunk size overflows"))?
+        .min(total);
     let _lease = mem::lease(reserve);
     let mut buf: Vec<u8> = Vec::with_capacity(reserve);
     for i in 0..n_models {
@@ -212,6 +168,18 @@ pub fn encode_concat_stream(
     Ok(())
 }
 
+/// Decode a concatenated set blob back into per-model dictionaries, given
+/// the per-layer names and sizes from the set's architecture metadata.
+pub fn decode_concat(
+    bytes: &[u8],
+    n_models: usize,
+    layer_names: &[String],
+    layer_sizes: &[usize],
+) -> Result<Vec<ParamDict>> {
+    let decode = record_decoder(bytes, n_models, layer_names, layer_sizes)?;
+    (0..n_models).map(decode).collect()
+}
+
 /// Streaming counterpart of [`decode_concat`]: decodes one model at a
 /// time from the (typically memory-mapped) blob and hands it to `visit`,
 /// so recovery never materializes the whole `Vec<ParamDict>`. Each
@@ -224,16 +192,8 @@ pub fn decode_concat_visit(
     layer_sizes: &[usize],
     mut visit: impl FnMut(usize, ParamDict) -> Result<()>,
 ) -> Result<()> {
-    check_concat_shape(bytes, n_models, layer_sizes)?;
-    let mut r = Reader::new(bytes);
-    for i in 0..n_models {
-        let mut layers = Vec::with_capacity(layer_sizes.len());
-        for (name, &size) in layer_names.iter().zip(layer_sizes) {
-            layers.push(LayerParams { name: name.clone(), data: r.f32_slice(size)? });
-        }
-        visit(i, ParamDict { layers })?;
-    }
-    Ok(())
+    let decode = record_decoder(bytes, n_models, layer_names, layer_sizes)?;
+    (0..n_models).try_for_each(|i| visit(i, decode(i)?))
 }
 
 /// Smallest possible verbose-dict layer record: three length-prefixed
@@ -507,25 +467,16 @@ mod tests {
     }
 
     #[test]
-    fn threaded_concat_is_byte_identical_for_all_thread_counts() {
+    fn record_decode_is_identical_for_all_thread_counts() {
         let (models, names, sizes) = dicts(9);
-        let sequential = encode_concat(&models).unwrap();
+        let blob = encode_concat(&models).unwrap();
+        let decode = record_decoder(&blob, 9, &names, &sizes).unwrap();
         for threads in [1, 2, 3, 8, 16] {
-            assert_eq!(encode_concat_threaded(&models, threads).unwrap(), sequential, "threads={threads}");
-            let back = decode_concat_threaded(&sequential, 9, &names, &sizes, threads).unwrap();
+            let back = mmm_util::parallel::try_map(threads, 9, &decode).unwrap();
             assert_eq!(back, models, "threads={threads}");
         }
-        // Degenerate shapes fall back to the sequential encoder.
-        assert_eq!(encode_concat_threaded(&[], 8).unwrap(), encode_concat(&[]).unwrap());
-        assert_eq!(encode_concat_threaded(&models[..1], 8).unwrap(), encode_concat(&models[..1]).unwrap());
-    }
-
-    #[test]
-    fn threaded_concat_decode_validates_sizes() {
-        let (models, names, sizes) = dicts(4);
-        let blob = encode_concat(&models).unwrap();
-        assert!(decode_concat_threaded(&blob, 5, &names, &sizes, 4).is_err());
-        assert!(decode_concat_threaded(&blob[..blob.len() - 4], 4, &names, &sizes, 4).is_err());
+        // A short record is corrupt, never a panic.
+        assert!(decode_model_record(&blob[..blob.len() / 9 - 4], &names, &sizes).is_err());
     }
 
     #[test]
@@ -630,7 +581,9 @@ mod tests {
         let names = vec!["w".to_string()];
         let sizes = vec![usize::MAX / 2];
         assert!(decode_concat(&[0u8; 16], usize::MAX / 2, &names, &sizes).is_err());
-        assert!(decode_concat_threaded(&[0u8; 16], usize::MAX / 2, &names, &sizes, 4).is_err());
+        assert!(
+            decode_concat_visit(&[0u8; 16], usize::MAX / 2, &names, &sizes, |_, _| Ok(())).is_err()
+        );
     }
 
     #[test]

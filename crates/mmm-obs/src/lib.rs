@@ -228,7 +228,7 @@ impl Observer {
     }
 
     /// Attach the clock used to measure simulated span durations.
-    /// Called by `ManagementEnv::with_observer`; spans opened before a
+    /// Called by `EnvBuilder::open`; spans opened before a
     /// clock is attached report zero simulated time.
     pub fn attach_clock(&self, clock: &VirtualClock) {
         if let Some(inner) = &self.inner {

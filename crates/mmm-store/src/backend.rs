@@ -83,15 +83,12 @@ impl BlobStore {
     /// Open a blob store of the chosen backend rooted at `dir`.
     ///
     /// `profile` prices the store (the *hot* tier for the tiered
-    /// backend); `cold_profile` prices the tiered backend's cold tier
-    /// and is ignored by the others (`None` defaults to
+    /// backend, whose cold tier is priced as
     /// [`LatencyProfile::object_store`]).
-    #[allow(clippy::too_many_arguments)]
     pub fn open(
         backend: StorageBackend,
         dir: impl AsRef<Path>,
         profile: LatencyProfile,
-        cold_profile: Option<LatencyProfile>,
         clock: VirtualClock,
         stats: StoreStats,
         faults: FaultInjector,
@@ -107,7 +104,7 @@ impl BlobStore {
             StorageBackend::Tiered => BlobStore::Tiered(TieredStore::open(
                 dir,
                 profile,
-                cold_profile.unwrap_or_else(LatencyProfile::object_store),
+                LatencyProfile::object_store(),
                 clock,
                 stats,
                 faults,
@@ -176,14 +173,18 @@ impl BlobStore {
     /// stream chunks straight to a temp file (peak memory stays at one
     /// chunk); the content-addressed backend needs the whole payload to
     /// cut and dedup chunks, so its sink buffers and lands the blob at
-    /// [`BlobSink::finish`]. Either way the accounting equals one
-    /// `put` of the total bytes, charged at finish.
+    /// [`BlobSink::finish`], cut at any [`BlobSink::hint_boundaries`].
+    /// Either way the accounting equals one `put` (or
+    /// `put_with_boundaries`) of the total bytes, charged at finish.
     pub fn put_writer(&self, key: &str) -> Result<BlobSink<'_>> {
         Ok(match self {
             BlobStore::Plain(s) => BlobSink::File(s.put_writer(key)?),
-            BlobStore::Cas(s) => {
-                BlobSink::Buffered { store: s, key: key.to_string(), buf: Vec::new() }
-            }
+            BlobStore::Cas(s) => BlobSink::Buffered {
+                store: s,
+                key: key.to_string(),
+                buf: Vec::new(),
+                boundaries: Vec::new(),
+            },
             BlobStore::Tiered(s) => BlobSink::Tiered { writer: s.put_writer(key)?, store: s },
         })
     }
@@ -318,6 +319,8 @@ pub enum BlobSink<'a> {
         key: String,
         /// Accumulated payload.
         buf: Vec<u8>,
+        /// Chunk-cut hints from [`BlobSink::hint_boundaries`].
+        boundaries: Vec<usize>,
     },
 }
 
@@ -331,6 +334,18 @@ impl BlobSink<'_> {
                 buf.extend_from_slice(chunk);
                 Ok(())
             }
+        }
+    }
+
+    /// Hint semantic chunk boundaries of the finished payload (absolute
+    /// byte offsets — layer edges), exactly what
+    /// [`BlobStore::put_with_boundaries`] takes. Only the
+    /// content-addressed sink consumes the iterator; the streaming sinks
+    /// store bytes as-is and never advance it, so a lazily computed hint
+    /// costs them nothing.
+    pub fn hint_boundaries(&mut self, offsets: impl IntoIterator<Item = usize>) {
+        if let BlobSink::Buffered { boundaries, .. } = self {
+            boundaries.extend(offsets);
         }
     }
 
@@ -355,7 +370,12 @@ impl BlobSink<'_> {
                 store.note_streamed_put(total);
                 Ok(())
             }
-            BlobSink::Buffered { store, key, buf } => store.put(&key, &buf),
+            BlobSink::Buffered {
+                store,
+                key,
+                buf,
+                boundaries,
+            } => store.put_with_boundaries(&key, &buf, &boundaries),
         }
     }
 }
@@ -373,7 +393,6 @@ mod tests {
             backend,
             dir,
             LatencyProfile::zero(),
-            None,
             VirtualClock::new(),
             StoreStats::new(),
             FaultInjector::new(),
@@ -435,6 +454,37 @@ mod tests {
     }
 
     #[test]
+    fn hinted_sink_cuts_the_same_chunks_as_put_with_boundaries() {
+        let data: Vec<u8> = (0..30_000u32).map(|i| (i % 251) as u8).collect();
+        let bounds = [4_000usize, 9_000, 21_000];
+        for backend in ALL {
+            let (dir_a, dir_b) = (
+                TempDir::new("mmm-backend").unwrap(),
+                TempDir::new("mmm-backend").unwrap(),
+            );
+            let (block, streamed) = (
+                open_backend(backend, dir_a.path()),
+                open_backend(backend, dir_b.path()),
+            );
+            block
+                .put_with_boundaries("s/blob.bin", &data, &bounds)
+                .unwrap();
+            let mut sink = streamed.put_writer("s/blob.bin").unwrap();
+            sink.hint_boundaries(bounds);
+            for chunk in data.chunks(7_001) {
+                sink.write(chunk).unwrap();
+            }
+            sink.finish().unwrap();
+            assert_eq!(streamed.disk_bytes(), block.disk_bytes(), "{backend}");
+            if let (Some(a), Some(b)) = (block.cas(), streamed.cas()) {
+                assert_eq!(a.counters().chunk_puts, 4, "cut on the three hinted edges");
+                assert_eq!(a.counters(), b.counters());
+            }
+            assert_eq!(streamed.get("s/blob.bin").unwrap(), data, "{backend}");
+        }
+    }
+
+    #[test]
     fn streaming_sink_lands_identical_blobs_on_every_backend() {
         let data: Vec<u8> = (0..30_000u32).map(|i| (i % 251) as u8).collect();
         for backend in ALL {
@@ -444,7 +494,6 @@ mod tests {
                 backend,
                 dir.path(),
                 LatencyProfile::zero(),
-                None,
                 VirtualClock::new(),
                 stats.clone(),
                 FaultInjector::new(),

@@ -9,6 +9,7 @@ use mmm_obs::{EventLevel, Observer};
 use mmm_util::{Error, Result, VirtualClock};
 
 use crate::fault::{flip_bits, FaultEffect, FaultInjector, OpClass};
+use crate::mmap::BlobBytes;
 use crate::profile::LatencyProfile;
 use crate::stats::StoreStats;
 
@@ -95,70 +96,76 @@ impl FileStore {
     }
 
     /// Write a blob. Overwrites an existing blob under the same key.
-    /// Charged as one `blob_put` round-trip plus transfer cost.
+    /// Charged as one `blob_put` round-trip plus transfer cost. This is
+    /// [`FileStore::put_writer`] fed one chunk: the same write-then-rename
+    /// protocol, fault semantics, and accounting.
     pub fn put(&self, key: &str, bytes: &[u8]) -> Result<()> {
-        let path = self.path_for(key)?;
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        // Write-then-rename with a per-write unique temp name: a crash
-        // never leaves a torn blob, concurrent puts to keys sharing a
-        // stem (`a.bin` vs `a.txt`) never collide, and a leaked temp is
-        // recognizable by prefix and swept on the next open.
-        let tmp = tmp_path(&path)?;
-        match self.fault_gate(OpClass::BlobPut, "blob_put", bytes.len())? {
-            FaultEffect::Clean => {
-                fs::write(&tmp, bytes)?;
-                fs::rename(&tmp, &path)?;
-            }
-            FaultEffect::Torn { keep } => {
-                // Crash mid-write: part of the payload reaches the temp
-                // file, the rename never happens, the caller dies.
-                fs::write(&tmp, &bytes[..keep.min(bytes.len())])?;
-                return Err(Error::Io(std::io::Error::other(format!(
-                    "injected torn write to blob {key:?}"
-                ))));
-            }
-            FaultEffect::Flip { seed, flips } => {
-                let mut corrupted = bytes.to_vec();
-                flip_bits(&mut corrupted, seed, flips);
-                fs::write(&tmp, &corrupted)?;
-                fs::rename(&tmp, &path)?;
-            }
-        }
-        let cost = self.profile.blob_put.cost(bytes.len() as u64);
-        self.stats.record_blob_put(bytes.len() as u64);
+        let mut writer = self.put_writer(key)?;
+        writer.write(bytes)?;
+        writer.finish()
+    }
+
+    /// Open the file behind `key` for reading; a missing file is
+    /// `NotFound`.
+    fn open_blob(&self, key: &str) -> Result<fs::File> {
+        fs::File::open(self.path_for(key)?).map_err(|e| not_found_or_io(key, e))
+    }
+
+    /// Charge one `blob_get` round-trip plus transfer of `len` bytes.
+    fn charge_get(&self, op: &'static str, len: u64) {
+        let cost = self.profile.blob_get.cost(len);
+        self.stats.record_blob_get(len);
         self.clock.charge(cost);
-        self.obs.store_op("blob_put", bytes.len() as u64, cost);
-        Ok(())
+        self.obs.store_op(op, len, cost);
+    }
+
+    /// Finish an owned read: apply read-side damage (short read /
+    /// flipped bits in transit) and count the bytes as copied.
+    fn owned_read(&self, effect: FaultEffect, mut bytes: Vec<u8>) -> Vec<u8> {
+        match effect {
+            FaultEffect::Clean => {}
+            FaultEffect::Torn { keep } => bytes.truncate(keep),
+            FaultEffect::Flip { seed, flips } => flip_bits(&mut bytes, seed, flips),
+        }
+        self.stats.record_bytes_copied(bytes.len() as u64);
+        bytes
+    }
+
+    /// The one whole-blob read behind [`FileStore::get`] and
+    /// [`FileStore::get_mapped`]: a zero-copy mapping when `map` is set
+    /// and possible, an owned copy otherwise — when mapping is
+    /// impossible (non-unix, empty blob, kernel refusal) or when the
+    /// fault gate demands read-side damage, which must materialize the
+    /// bytes to apply a truncation or bit flip. Either way one charge.
+    fn read_whole(&self, key: &str, map: bool) -> Result<BlobBytes> {
+        use std::io::Read;
+        let effect = self.fault_gate(OpClass::BlobGet, "blob_get", 0)?;
+        let mut file = self.open_blob(key)?;
+        let mapped = if map && effect == FaultEffect::Clean {
+            let len = usize::try_from(file.metadata()?.len())
+                .map_err(|_| Error::invalid(format!("blob {key:?} exceeds address space")))?;
+            BlobBytes::map_file(&file, len)
+        } else {
+            None
+        };
+        let view = match mapped {
+            Some(view) => view,
+            None => {
+                let mut bytes = Vec::new();
+                file.read_to_end(&mut bytes)?;
+                BlobBytes::from_vec(self.owned_read(effect, bytes))
+            }
+        };
+        self.charge_get("blob_get", view.len() as u64);
+        Ok(view)
     }
 
     /// Read a blob. Charged as one `blob_get` round-trip plus transfer.
     pub fn get(&self, key: &str) -> Result<Vec<u8>> {
-        let effect = self.fault_gate(OpClass::BlobGet, "blob_get", 0)?;
-        let path = self.path_for(key)?;
-        let mut bytes = fs::read(&path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                Error::not_found(format!("blob {key:?}"))
-            } else {
-                Error::Io(e)
-            }
-        })?;
-        match effect {
-            FaultEffect::Clean => {}
-            // Read-side damage: short read / flipped bits in transit.
-            FaultEffect::Torn { keep } => bytes.truncate(keep),
-            FaultEffect::Flip { seed, flips } => flip_bits(&mut bytes, seed, flips),
-        }
-        let cost = self.profile.blob_get.cost(bytes.len() as u64);
-        self.stats.record_blob_get(bytes.len() as u64);
-        self.stats.record_bytes_copied(bytes.len() as u64);
-        self.clock.charge(cost);
-        self.obs.store_op("blob_get", bytes.len() as u64, cost);
-        Ok(bytes)
+        Ok(self.read_whole(key, false)?.into_vec())
     }
 
-    /// Read a blob as a zero-copy view: the returned [`BlobBytes`](crate::mmap::BlobBytes) is a
+    /// Read a blob as a zero-copy view: the returned [`BlobBytes`] is a
     /// read-only memory mapping of the stored file where the platform
     /// allows it, so decoders consume parameter bytes straight from the
     /// page cache with no intermediate heap copy.
@@ -168,70 +175,28 @@ impl FileStore {
     /// mapped and copying recovery paths report the same simulated
     /// timings and op counts. Only `bytes_copied` differs: a mapped read
     /// adds nothing, an owned fallback adds the blob's length.
-    ///
-    /// Falls back to an owned read (still one charge) when mapping is
-    /// impossible (non-unix, empty blob, kernel refusal) or when the
-    /// fault gate demands read-side damage, which must materialize the
-    /// bytes to apply a truncation or bit flip.
-    pub fn get_mapped(&self, key: &str) -> Result<crate::mmap::BlobBytes> {
-        let effect = self.fault_gate(OpClass::BlobGet, "blob_get", 0)?;
-        let path = self.path_for(key)?;
-        let not_found = |e: std::io::Error| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                Error::not_found(format!("blob {key:?}"))
-            } else {
-                Error::Io(e)
-            }
-        };
-        let view = if effect == FaultEffect::Clean {
-            let file = fs::File::open(&path).map_err(not_found)?;
-            let len = file.metadata()?.len();
-            let len = usize::try_from(len)
-                .map_err(|_| Error::invalid(format!("blob {key:?} exceeds address space")))?;
-            match crate::mmap::BlobBytes::map_file(&file, len) {
-                Some(view) => view,
-                None => {
-                    let bytes = fs::read(&path).map_err(not_found)?;
-                    self.stats.record_bytes_copied(bytes.len() as u64);
-                    crate::mmap::BlobBytes::from_vec(bytes)
-                }
-            }
-        } else {
-            // Fault effects rewrite the payload; that requires an owned
-            // buffer (and fault runs are test scenarios, where the copy
-            // is irrelevant).
-            let mut bytes = fs::read(&path).map_err(not_found)?;
-            match effect {
-                FaultEffect::Clean => unreachable!("clean handled above"),
-                FaultEffect::Torn { keep } => bytes.truncate(keep),
-                FaultEffect::Flip { seed, flips } => flip_bits(&mut bytes, seed, flips),
-            }
-            self.stats.record_bytes_copied(bytes.len() as u64);
-            crate::mmap::BlobBytes::from_vec(bytes)
-        };
-        let cost = self.profile.blob_get.cost(view.len() as u64);
-        self.stats.record_blob_get(view.len() as u64);
-        self.clock.charge(cost);
-        self.obs.store_op("blob_get", view.len() as u64, cost);
-        Ok(view)
+    pub fn get_mapped(&self, key: &str) -> Result<BlobBytes> {
+        self.read_whole(key, true)
     }
 
     /// Open a streaming writer for a blob: chunks are appended with
     /// [`BlobWriter::write`] and the blob becomes visible atomically at
-    /// [`BlobWriter::finish`] (same write-then-rename protocol as
-    /// [`FileStore::put`], same single `blob_put` charge for the total
-    /// bytes — a streamed put is accounting-identical to a buffered put
-    /// of the concatenated chunks). Dropping the writer without
-    /// finishing aborts the write and removes the temp file.
+    /// [`BlobWriter::finish`], charged as one `blob_put` of the total
+    /// bytes. Write-then-rename with a per-write unique temp name: a
+    /// crash never leaves a torn blob, concurrent puts to keys sharing a
+    /// stem (`a.bin` vs `a.txt`) never collide, and a leaked temp is
+    /// recognizable by prefix and swept on the next open. Dropping the
+    /// writer without finishing aborts the write and removes the temp
+    /// file.
     pub fn put_writer(&self, key: &str) -> Result<BlobWriter<'_>> {
         let path = self.path_for(key)?;
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
         }
-        // The fault verdict is drawn up front (op order must match a
-        // buffered put for deterministic fault plans); damage effects
-        // buffer the payload because torn/flip rewrites depend on the
-        // total length.
+        // The fault verdict is drawn up front, before any byte is
+        // written (deterministic fault plans count ops, not bytes);
+        // damage effects buffer the payload because torn/flip rewrites
+        // depend on the total length.
         let effect = self.fault_gate(OpClass::BlobPut, "blob_put", 0)?;
         let tmp = tmp_path(&path)?;
         let sink = if effect == FaultEffect::Clean {
@@ -256,14 +221,7 @@ impl FileStore {
     pub fn get_range(&self, key: &str, offset: u64, len: usize) -> Result<Vec<u8>> {
         use std::io::{Read, Seek, SeekFrom};
         let effect = self.fault_gate(OpClass::BlobGet, "blob_get_range", len)?;
-        let path = self.path_for(key)?;
-        let mut file = std::fs::File::open(&path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                Error::not_found(format!("blob {key:?}"))
-            } else {
-                Error::Io(e)
-            }
-        })?;
+        let mut file = self.open_blob(key)?;
         let size = file.metadata()?.len();
         let end = offset.checked_add(len as u64).ok_or_else(|| {
             Error::invalid(format!("range {offset}+{len} overflows for blob {key:?}"))
@@ -276,16 +234,8 @@ impl FileStore {
         file.seek(SeekFrom::Start(offset))?;
         let mut buf = vec![0u8; len];
         file.read_exact(&mut buf)?;
-        match effect {
-            FaultEffect::Clean => {}
-            FaultEffect::Torn { keep } => buf.truncate(keep),
-            FaultEffect::Flip { seed, flips } => flip_bits(&mut buf, seed, flips),
-        }
-        let cost = self.profile.blob_get.cost(buf.len() as u64);
-        self.stats.record_blob_get(buf.len() as u64);
-        self.stats.record_bytes_copied(buf.len() as u64);
-        self.clock.charge(cost);
-        self.obs.store_op("blob_get_range", buf.len() as u64, cost);
+        let buf = self.owned_read(effect, buf);
+        self.charge_get("blob_get_range", buf.len() as u64);
         Ok(buf)
     }
 
@@ -295,14 +245,10 @@ impl FileStore {
     /// bytes read model local bookkeeping rather than simulated store
     /// round-trips.
     pub(crate) fn read_local(&self, key: &str) -> Result<Vec<u8>> {
-        let path = self.path_for(key)?;
-        fs::read(&path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                Error::not_found(format!("blob {key:?}"))
-            } else {
-                Error::Io(e)
-            }
-        })
+        use std::io::Read;
+        let mut bytes = Vec::new();
+        self.open_blob(key)?.read_to_end(&mut bytes)?;
+        Ok(bytes)
     }
 
     /// Write a blob without charging latency, recording stats, or
@@ -323,14 +269,7 @@ impl FileStore {
     /// Remove a blob without charging latency, recording stats, or
     /// running the fault gate — the cleanup half of a tier migration.
     pub(crate) fn remove_local(&self, key: &str) -> Result<()> {
-        let path = self.path_for(key)?;
-        fs::remove_file(&path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                Error::not_found(format!("blob {key:?}"))
-            } else {
-                Error::Io(e)
-            }
-        })
+        fs::remove_file(self.path_for(key)?).map_err(|e| not_found_or_io(key, e))
     }
 
     /// Whether a blob exists (not charged — local metadata check).
@@ -355,14 +294,7 @@ impl FileStore {
                 "injected fault during delete of blob {key:?}"
             ))));
         }
-        let path = self.path_for(key)?;
-        fs::remove_file(&path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                Error::not_found(format!("blob {key:?}"))
-            } else {
-                Error::Io(e)
-            }
-        })?;
+        self.remove_local(key)?;
         let cost = self.profile.blob_put.cost(0);
         self.stats.record_blob_delete();
         self.clock.charge(cost);
@@ -474,8 +406,8 @@ impl BlobWriter<'_> {
 
     /// Complete the write: flush, rename into place, and charge one
     /// `blob_put` for the total payload. On a torn-write fault the temp
-    /// keeps only the torn prefix and the rename never happens, exactly
-    /// like the buffered path.
+    /// keeps only the torn prefix and the rename never happens (the
+    /// caller "dies"; the next open sweeps the temp).
     pub fn finish(mut self) -> Result<()> {
         let sink = self.sink.take().expect("finish called once");
         match (self.effect, sink) {
@@ -516,6 +448,16 @@ impl Drop for BlobWriter<'_> {
             // Aborted mid-stream: the unacknowledged temp is garbage.
             let _ = fs::remove_file(&self.tmp);
         }
+    }
+}
+
+/// A missing blob file is `NotFound`; any other I/O failure passes
+/// through.
+fn not_found_or_io(key: &str, e: std::io::Error) -> Error {
+    if e.kind() == std::io::ErrorKind::NotFound {
+        Error::not_found(format!("blob {key:?}"))
+    } else {
+        Error::Io(e)
     }
 }
 

@@ -135,6 +135,15 @@ impl BlobBytes {
         }
     }
 
+    /// The bytes as an owned buffer (free for an owned view).
+    pub(crate) fn into_vec(self) -> Vec<u8> {
+        match self.repr {
+            Repr::Owned(v) => v,
+            #[cfg(unix)]
+            Repr::Mapped(m) => m.as_slice().to_vec(),
+        }
+    }
+
     /// Whether this view is a memory mapping (as opposed to an owned
     /// copy). Drives the store's bytes-copied accounting and lets tests
     /// pin that the zero-copy path actually engaged.

@@ -1040,9 +1040,10 @@ fn cmd_stats(a: &Args) -> Result<()> {
     .with_threads(a.threads)
     .with_observer(obs().clone());
     let dir = TempDir::new("mmm-stats")?;
-    let env = ManagementEnv::open(dir.path(), profile)?
-        .with_threads(cfg.threads)
-        .with_observer(obs().clone());
+    let env = ManagementEnv::builder(dir.path(), profile)
+        .threads(cfg.threads)
+        .observer(obs().clone())
+        .open()?;
     println!(
         "micro-scenario: {} models × {} ({} params/model), U1 + {} U3 cycle(s)",
         cfg.n_models,

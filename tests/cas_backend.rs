@@ -383,13 +383,3 @@ fn approach_specs_round_trip_through_their_canonical_form() {
         assert!(ApproachSpec::parse(bad).is_err(), "{bad:?} must be rejected");
     }
 }
-
-#[test]
-#[allow(deprecated)]
-fn by_name_shim_still_builds_every_saver() {
-    for kind in ApproachKind::ALL {
-        let saver = mmm::core::approach::by_name(kind.name()).unwrap();
-        assert_eq!(saver.name(), kind.name());
-    }
-    assert!(mmm::core::approach::by_name("nope").is_none());
-}

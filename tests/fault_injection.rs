@@ -48,7 +48,9 @@ struct Scenario {
 fn scenario(approach: &str) -> Scenario {
     let dir = TempDir::new("it-fault").unwrap();
     let faults = FaultInjector::new();
-    let env = ManagementEnv::open_with_faults(dir.path(), LatencyProfile::zero(), faults.clone())
+    let env = ManagementEnv::builder(dir.path(), LatencyProfile::zero())
+        .faults(faults.clone())
+        .open()
         .unwrap();
     let mut fleet = Fleet::initial(FleetConfig {
         n_models: N,
@@ -161,7 +163,9 @@ fn transient_store_faults_are_retried_to_a_committed_save() {
 fn silent_blob_corruption_is_caught_by_fsck_and_quarantined() {
     let dir = TempDir::new("it-fault-rot").unwrap();
     let faults = FaultInjector::new();
-    let env = ManagementEnv::open_with_faults(dir.path(), LatencyProfile::zero(), faults.clone())
+    let env = ManagementEnv::builder(dir.path(), LatencyProfile::zero())
+        .faults(faults.clone())
+        .open()
         .unwrap();
     let fleet = Fleet::initial(FleetConfig { n_models: N, seed: SEED, arch: Architectures::ffnn(6) });
     let set = fleet.to_model_set();
@@ -202,9 +206,10 @@ fn a_flipped_document_record_fails_loudly_on_reopen() {
     let dir = TempDir::new("it-fault-doc").unwrap();
     {
         let faults = FaultInjector::new();
-        let env =
-            ManagementEnv::open_with_faults(dir.path(), LatencyProfile::zero(), faults.clone())
-                .unwrap();
+        let env = ManagementEnv::builder(dir.path(), LatencyProfile::zero())
+            .faults(faults.clone())
+            .open()
+            .unwrap();
         let fleet =
             Fleet::initial(FleetConfig { n_models: N, seed: SEED, arch: Architectures::ffnn(6) });
         let mut saver = ApproachSpec::parse("update").unwrap().build();
@@ -224,9 +229,10 @@ fn injected_damage_replays_bit_identically_from_the_seed() {
     let damaged_params = || {
         let dir = TempDir::new("it-fault-replay").unwrap();
         let faults = FaultInjector::new();
-        let env =
-            ManagementEnv::open_with_faults(dir.path(), LatencyProfile::zero(), faults.clone())
-                .unwrap();
+        let env = ManagementEnv::builder(dir.path(), LatencyProfile::zero())
+            .faults(faults.clone())
+            .open()
+            .unwrap();
         let fleet =
             Fleet::initial(FleetConfig { n_models: N, seed: SEED, arch: Architectures::ffnn(6) });
         let mut saver = ApproachSpec::parse("update").unwrap().build();

@@ -60,10 +60,11 @@ fn tracing_changes_no_stored_bytes_and_no_op_accounting() {
         for observer in [Observer::disabled(), Observer::new()] {
             let dir = TempDir::new("it-obs").unwrap();
             let c = cfg(threads, LatencyProfile::zero(), observer.clone());
-            let env = ManagementEnv::open(dir.path(), c.profile)
-                .unwrap()
-                .with_threads(c.threads)
-                .with_observer(observer);
+            let env = ManagementEnv::builder(dir.path(), c.profile)
+                .threads(c.threads)
+                .observer(observer)
+                .open()
+                .unwrap();
             let r = run_scenario_in_env(&c, &env).unwrap();
             runs.push((dir_contents(dir.path()), env.stats(), r));
         }
@@ -99,10 +100,11 @@ fn phases_tile_every_op_and_match_reported_sim_times() {
     let observer = Observer::new();
     let dir = TempDir::new("it-obs").unwrap();
     let c = cfg(2, LatencyProfile::by_name("m1").unwrap(), observer.clone());
-    let env = ManagementEnv::open(dir.path(), c.profile)
-        .unwrap()
-        .with_threads(c.threads)
-        .with_observer(observer.clone());
+    let env = ManagementEnv::builder(dir.path(), c.profile)
+        .threads(c.threads)
+        .observer(observer.clone())
+        .open()
+        .unwrap();
     let r = run_scenario_in_env(&c, &env).unwrap();
 
     let rows = observer.breakdown();
@@ -142,10 +144,11 @@ fn span_traces_are_deterministic_across_runs_and_lanes() {
         let observer = Observer::new();
         let dir = TempDir::new("it-obs").unwrap();
         let c = cfg(4, LatencyProfile::by_name("m1").unwrap(), observer.clone());
-        let env = ManagementEnv::open(dir.path(), c.profile)
-            .unwrap()
-            .with_threads(c.threads)
-            .with_observer(observer.clone());
+        let env = ManagementEnv::builder(dir.path(), c.profile)
+            .threads(c.threads)
+            .observer(observer.clone())
+            .open()
+            .unwrap();
         run_scenario_in_env(&c, &env).unwrap();
         observer
             .trace_jsonl()

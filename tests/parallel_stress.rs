@@ -50,9 +50,10 @@ fn policy() -> UpdatePolicy {
 #[test]
 fn four_approaches_save_and_recover_concurrently_against_one_env() {
     let dir = TempDir::new("it-parstress").unwrap();
-    let env = ManagementEnv::open(dir.path(), LatencyProfile::zero())
-        .unwrap()
-        .with_threads(threads_from_env());
+    let env = ManagementEnv::builder(dir.path(), LatencyProfile::zero())
+        .threads(threads_from_env())
+        .open()
+        .unwrap();
     let cycles = 2;
 
     // One client thread per approach, all hammering the same env. Each
@@ -115,9 +116,10 @@ fn storage_and_op_accounting_is_thread_count_invariant() {
     let mut runs = Vec::new();
     for threads in [1, many] {
         let dir = TempDir::new("it-parstress").unwrap();
-        let env = ManagementEnv::open(dir.path(), LatencyProfile::zero())
-            .unwrap()
-            .with_threads(threads);
+        let env = ManagementEnv::builder(dir.path(), LatencyProfile::zero())
+            .threads(threads)
+            .open()
+            .unwrap();
         let mut per_approach = Vec::new();
         for approach in APPROACHES {
             let mut saver = ApproachSpec::parse(approach).unwrap().build();
@@ -157,9 +159,10 @@ fn parallel_sections_charge_the_critical_path_not_the_lane_sum() {
     let mut sims = Vec::new();
     for threads in [1, many] {
         let dir = TempDir::new("it-parstress").unwrap();
-        let env = ManagementEnv::open(dir.path(), LatencyProfile::by_name("m1").unwrap())
-            .unwrap()
-            .with_threads(threads);
+        let env = ManagementEnv::builder(dir.path(), LatencyProfile::by_name("m1").unwrap())
+            .threads(threads)
+            .open()
+            .unwrap();
         // mmlib-base is the op-heaviest approach (3n blob puts on save,
         // 2n round-trips on recover), so its parallel sections dominate.
         let mut saver = ApproachSpec::parse("mmlib-base").unwrap().build();

@@ -7,10 +7,10 @@
 //!
 //! 1. a streamed save's peak staging memory is O(chunk), not O(set);
 //! 2. every recovery path — copying read, zero-copy mapping, streaming
-//!    visit decode, threaded block decode at 1 and 4 workers — is
+//!    visit decode, whole-set recovery at 1 and 4 workers — is
 //!    bit-identical to the byte stream the generator produced.
 
-use mmm::core::approach::BaselineSaver;
+use mmm::core::approach::{BaselineSaver, ModelSetSaver};
 use mmm::core::env::ManagementEnv;
 use mmm::core::param_codec;
 use mmm::dnn::Architectures;
@@ -28,7 +28,6 @@ fn streamed_save_is_o_chunk_and_every_recovery_path_is_bit_identical() {
         .open()
         .unwrap();
     let arch = Architectures::ffnn(2);
-    let layer_names = arch.parametric_layer_names();
     let layer_sizes = arch.parametric_layer_sizes();
     let model_bytes = 4 * param_codec::per_model_params(&layer_sizes).unwrap();
     let blob_bytes = (model_bytes * N) as u64;
@@ -98,13 +97,17 @@ fn streamed_save_is_o_chunk_and_every_recovery_path_is_bit_identical() {
     assert_eq!(visited, N);
     assert_eq!(visit_hasher.finish(), save_hash, "visit decode must be bit-identical");
 
-    // Threaded block decode at 1 and 4 workers, re-encoded and compared.
+    // Whole-set recovery (record-parallel decode of the same mapping)
+    // at 1 and 4 workers, re-encoded and compared.
+    drop(mapped);
     for threads in [1usize, 4] {
-        let dicts =
-            param_codec::decode_concat_threaded(&mapped, N, &layer_names, &layer_sizes, threads)
-                .unwrap();
-        assert_eq!(dicts.len(), N);
-        let bytes = param_codec::encode_concat_threaded(&dicts, threads).unwrap();
+        let env = ManagementEnv::builder(dir.path(), LatencyProfile::zero())
+            .threads(threads)
+            .open()
+            .unwrap();
+        let set = saver.recover_set(&env, &id).unwrap();
+        assert_eq!(set.len(), N);
+        let bytes = param_codec::encode_concat(set.models()).unwrap();
         assert_eq!(
             xxhash64(&bytes, 0),
             save_hash,
@@ -142,6 +145,6 @@ fn truncated_params_blob_recovers_as_corrupt() {
         matches!(err, mmm::util::Error::Corrupt(_)),
         "truncated blob must decode as Corrupt, got {err:?}"
     );
-    let err = mmm::core::approach::ModelSetSaver::recover_set(&saver, &env, &id).unwrap_err();
+    let err = saver.recover_set(&env, &id).unwrap_err();
     assert!(matches!(err, mmm::util::Error::Corrupt(_)));
 }

@@ -59,13 +59,22 @@ fn selected_models_match_full_recovery_for_every_approach() {
     let (_d, env, savers, snapshots) = build();
     for (saver, ids) in &savers {
         for (uc, id) in ids.iter().enumerate() {
-            let picked = saver.recover_models(&env, id, &PICK).unwrap();
-            for (p, &idx) in PICK.iter().enumerate() {
-                assert_eq!(
-                    picked[p], snapshots[uc].models()[idx],
-                    "{} uc {uc} model {idx}",
-                    saver.name()
-                );
+            // A model some derived level rewrote, asked for twice: every
+            // position must get the replayed parameters, not just one.
+            let updated = (0..N)
+                .find(|&i| snapshots[uc].models()[i] != snapshots[0].models()[i])
+                .unwrap_or(0);
+            for pick in [&PICK[..], &[updated, updated, PICK[0]]] {
+                let picked = saver.recover_models(&env, id, pick).unwrap();
+                assert_eq!(picked.len(), pick.len());
+                for (p, &idx) in pick.iter().enumerate() {
+                    assert_eq!(
+                        picked[p],
+                        snapshots[uc].models()[idx],
+                        "{} uc {uc} model {idx} at position {p} of {pick:?}",
+                        saver.name()
+                    );
+                }
             }
         }
     }
