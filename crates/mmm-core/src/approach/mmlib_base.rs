@@ -12,14 +12,12 @@ use crate::approach::{common, ModelSetSaver};
 use crate::artifacts::{environment_info, model_code};
 use crate::commit;
 use crate::env::ManagementEnv;
+use crate::layout::{self, MmlibBatch, MODELS_COLLECTION};
 use crate::model_set::{Derivation, ModelSet, ModelSetId};
 use crate::param_codec::{decode_verbose_dict, encode_verbose_dict};
 use mmm_dnn::ParamDict;
 use mmm_util::{Error, Result};
 use serde_json::{json, Value};
-
-/// Document-store collection holding one document per saved *model*.
-const MODELS_COLLECTION: &str = "models";
 
 /// Saver implementing MMlib's single-model baseline. Stateless.
 #[derive(Debug, Default, Clone)]
@@ -29,10 +27,6 @@ impl MmlibBaseSaver {
     /// Create an MMlib-base saver.
     pub fn new() -> Self {
         MmlibBaseSaver
-    }
-
-    fn blob_key(doc_id: u64, artifact: &str) -> String {
-        format!("mmlib/m{doc_id}/{artifact}")
     }
 }
 
@@ -70,11 +64,11 @@ impl ModelSetSaver for MmlibBaseSaver {
             })
         };
         let put_blobs = |doc_id: u64, params: &[u8]| -> Result<()> {
-            env.with_retry(|| env.blobs().put(&Self::blob_key(doc_id, "params.pt"), params))?;
-            env.with_retry(|| env.blobs().put(&Self::blob_key(doc_id, "code.py"), code.as_bytes()))?;
-            env.with_retry(|| {
-                env.blobs().put(&Self::blob_key(doc_id, "environment.yaml"), env_info.as_bytes())
-            })?;
+            let keys = layout::node_blob_keys(self.name(), "", doc_id);
+            let payloads = [params, code.as_bytes(), env_info.as_bytes()];
+            for (key, bytes) in keys.iter().zip(payloads) {
+                env.with_retry(|| env.blobs().put(key, bytes))?;
+            }
             Ok(())
         };
         let mut first = None;
@@ -124,10 +118,8 @@ impl ModelSetSaver for MmlibBaseSaver {
             })?;
         }
         let first = first.ok_or_else(|| Error::invalid("cannot save an empty model set"))?;
-        let id = ModelSetId {
-            approach: self.name().into(),
-            key: format!("{first}:{}", set.len()),
-        };
+        let count = set.len();
+        let id = MmlibBatch { first, count }.id();
         // One commit record covers the whole batch: until it lands, every
         // per-model row above is invisible orphaned phase-one state.
         commit::commit_save(env, &id)?;
@@ -135,7 +127,7 @@ impl ModelSetSaver for MmlibBaseSaver {
     }
 
     fn recover_set(&self, env: &ManagementEnv, id: &ModelSetId) -> Result<ModelSet> {
-        let (first, count) = self.open(env, id)?;
+        let MmlibBatch { first, count } = self.open(env, id)?;
         // One document query and one blob read per model — the Θ(n)
         // round-trips behind MMlib-base's TTR in Figure 5. Each model is
         // an independent pair of round-trips, so they fan out over the
@@ -164,7 +156,7 @@ impl ModelSetSaver for MmlibBaseSaver {
         id: &ModelSetId,
         indices: &[usize],
     ) -> Result<Vec<mmm_dnn::ParamDict>> {
-        let (first, count) = self.open(env, id)?;
+        let MmlibBatch { first, count } = self.open(env, id)?;
         let _span = env.obs().span("fetch_decode");
         env.run_parallel(indices.len(), |p| {
             let i = indices[p];
@@ -179,34 +171,21 @@ impl ModelSetSaver for MmlibBaseSaver {
 }
 
 impl MmlibBaseSaver {
-    /// The shared recovery guard, then the id's `(first doc id, count)`.
-    fn open(&self, env: &ManagementEnv, id: &ModelSetId) -> Result<(u64, usize)> {
+    /// The shared recovery guard, then the id's batch.
+    fn open(&self, env: &ManagementEnv, id: &ModelSetId) -> Result<MmlibBatch> {
         // Parsed first, so a malformed key is `Invalid` rather than a
         // missing commit record.
-        let range = parse_range(&id.key);
+        let batch = MmlibBatch::parse(&id.key);
         common::guard(env, self.name(), id)?;
-        range
+        batch
     }
 
     /// One model's document and decoded parameters.
     fn fetch_model(env: &ManagementEnv, doc_id: u64) -> Result<(Value, ParamDict)> {
         let doc = env.docs().get(MODELS_COLLECTION, doc_id)?;
-        let blob = env.blobs().get(&Self::blob_key(doc_id, "params.pt"))?;
+        let blob = env.blobs().get(&layout::mmlib_params_key(doc_id))?;
         Ok((doc, decode_verbose_dict(&blob)?))
     }
-}
-
-fn parse_range(key: &str) -> Result<(u64, usize)> {
-    let (a, b) = key
-        .split_once(':')
-        .ok_or_else(|| Error::invalid(format!("malformed mmlib set key {key:?}")))?;
-    let first = a
-        .parse::<u64>()
-        .map_err(|_| Error::invalid(format!("malformed first id in {key:?}")))?;
-    let count = b
-        .parse::<usize>()
-        .map_err(|_| Error::invalid(format!("malformed count in {key:?}")))?;
-    Ok((first, count))
 }
 
 #[cfg(test)]

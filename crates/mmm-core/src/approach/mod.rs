@@ -249,8 +249,8 @@ pub(crate) mod common {
     use mmm_util::parallel;
     use serde_json::{json, Value};
 
-    /// Document-store collection holding one document per saved set.
-    pub const SETS_COLLECTION: &str = "model_sets";
+    pub use crate::layout::SETS_COLLECTION;
+    pub(crate) use crate::layout::{doc_id_of, params_key};
 
     /// Build the set-level metadata document of a **full** (self-contained)
     /// save: approach, architecture (saved once for the whole set —
@@ -270,18 +270,6 @@ pub(crate) mod common {
             "layer_names": arch.parametric_layer_names(),
             "layer_sizes": arch.parametric_layer_sizes(),
         }))
-    }
-
-    /// Key of the concatenated-parameters blob of a full save.
-    pub fn params_key(approach: &str, doc_id: u64) -> String {
-        format!("{approach}/{doc_id}/params.bin")
-    }
-
-    /// Parse a set id's key as a document id.
-    pub fn doc_id_of(id: &ModelSetId) -> Result<u64> {
-        id.key
-            .parse::<u64>()
-            .map_err(|_| Error::invalid(format!("malformed set key {:?}", id.key)))
     }
 
     /// Byte offsets of the (model, layer) record edges of a concat blob:
@@ -317,10 +305,7 @@ pub(crate) mod common {
     /// Phase two of every set-level save: the commit record that makes
     /// the documents and blobs written so far visible to readers.
     pub fn commit_set(env: &ManagementEnv, approach: &str, doc_id: u64) -> Result<ModelSetId> {
-        let id = ModelSetId {
-            approach: approach.into(),
-            key: doc_id.to_string(),
-        };
+        let id = crate::layout::set_id(approach, doc_id);
         commit::commit_save(env, &id)?;
         Ok(id)
     }

@@ -20,6 +20,7 @@ use crate::approach::ModelSetSaver;
 use crate::artifacts::environment_info;
 use crate::commit;
 use crate::env::ManagementEnv;
+use crate::layout;
 use crate::model_set::{Derivation, ModelSet, ModelSetId, ModelUpdate, UpdateKind};
 use mmm_data::registry::DatasetRef;
 use mmm_dnn::{ArchitectureSpec, ParamDict, TrainConfig};
@@ -34,10 +35,6 @@ impl ProvenanceSaver {
     /// Create a Provenance saver.
     pub fn new() -> Self {
         ProvenanceSaver
-    }
-
-    fn updates_key(doc_id: u64) -> String {
-        format!("provenance/{doc_id}/updates.jsonl")
     }
 
     /// Serialize one update as a JSON line with a realistic URI-style
@@ -97,6 +94,17 @@ impl ProvenanceSaver {
             .and_then(Value::as_u64)
             .ok_or_else(|| Error::corrupt("update line without seed"))?;
         Ok(ModelUpdate { model_idx, kind, dataset, seed })
+    }
+
+    /// Fetch and parse the updates recorded for derived set `doc_id`.
+    pub(crate) fn read_updates(env: &ManagementEnv, doc_id: u64) -> Result<Vec<ModelUpdate>> {
+        let blob = env.blobs().get(&layout::updates_key(doc_id))?;
+        let text = String::from_utf8(blob)
+            .map_err(|_| Error::corrupt("provenance updates blob is not UTF-8"))?;
+        text.lines()
+            .filter(|l| !l.is_empty())
+            .map(Self::parse_update_line)
+            .collect()
     }
 }
 
@@ -172,7 +180,8 @@ impl ModelSetSaver for ProvenanceSaver {
         }
         {
             let _span = env.obs().span("blob_put");
-            env.with_retry(|| env.blobs().put(&Self::updates_key(doc_id), lines.as_bytes()))?;
+            let key = layout::updates_key(doc_id);
+            env.with_retry(|| env.blobs().put(&key, lines.as_bytes()))?;
         }
         common::commit_set(env, self.name(), doc_id)
     }
@@ -255,11 +264,7 @@ fn retrain_level(
     let mut groups: Vec<(usize, Vec<ModelUpdate>)> = Vec::new();
     {
         let _span = env.obs().span("updates_fetch");
-        let blob = env.blobs().get(&ProvenanceSaver::updates_key(doc_id))?;
-        let text = String::from_utf8(blob)
-            .map_err(|_| Error::corrupt("provenance updates blob is not UTF-8"))?;
-        for line in text.lines().filter(|l| !l.is_empty()) {
-            let u = ProvenanceSaver::parse_update_line(line)?;
+        for u in ProvenanceSaver::read_updates(env, doc_id)? {
             let Some(slot) = slots.of(u.model_idx)? else {
                 continue;
             };

@@ -22,6 +22,7 @@ use crate::approach::ModelSetSaver;
 use crate::commit;
 use crate::delta::{compress_delta, decompress_delta};
 use crate::env::ManagementEnv;
+use crate::layout;
 use crate::model_set::{Derivation, ModelSet, ModelSetId};
 use crate::param_codec::{
     decode_diff, decode_diff_compressed, decode_hashes, encode_diff, encode_diff_compressed,
@@ -67,14 +68,6 @@ impl UpdateSaver {
         self
     }
 
-    pub(crate) fn hashes_key(doc_id: u64) -> String {
-        format!("update/{doc_id}/hashes.bin")
-    }
-
-    pub(crate) fn diff_key(doc_id: u64) -> String {
-        format!("update/{doc_id}/diff.bin")
-    }
-
     /// Put a set's hash table, cutting one chunk after the 16-byte
     /// header and then one per model row, so an unchanged model's row
     /// dedups against the predecessor's hash blob under CAS.
@@ -88,8 +81,13 @@ impl UpdateSaver {
         let bounds: Vec<usize> = (16..blob.len()).step_by(row.max(1)).collect();
         env.with_retry(|| {
             env.blobs()
-                .put_with_boundaries(&Self::hashes_key(doc_id), &blob, &bounds)
+                .put_with_boundaries(&layout::hashes_key(doc_id), &blob, &bounds)
         })
+    }
+
+    /// Fetch and decode the hash table [`Self::put_hash_table`] wrote.
+    pub(crate) fn read_hash_table(env: &ManagementEnv, doc_id: u64) -> Result<Vec<Vec<u64>>> {
+        decode_hashes(&env.blobs().get(&layout::hashes_key(doc_id))?)
     }
 
     /// A full snapshot at chain depth `depth`: Baseline's artifacts plus
@@ -205,7 +203,7 @@ impl ModelSetSaver for UpdateSaver {
         // (3) Changed layers, detected against the base set's hash blob.
         let changed: Vec<(usize, usize)> = {
             let _span = env.obs().span("diff_detect");
-            let base_hashes = decode_hashes(&env.blobs().get(&Self::hashes_key(base_id))?)?;
+            let base_hashes = Self::read_hash_table(env, base_id)?;
             if base_hashes.len() != hashes.len() {
                 return Err(Error::corrupt("base hash table has wrong model count"));
             }
@@ -275,7 +273,7 @@ impl ModelSetSaver for UpdateSaver {
         let doc_id = common::insert_set_doc(env, &doc)?;
         {
             let _span = env.obs().span("blob_put");
-            env.with_retry(|| env.blobs().put(&Self::diff_key(doc_id), &diff_blob))?;
+            env.with_retry(|| env.blobs().put(&layout::diff_key(doc_id), &diff_blob))?;
             Self::put_hash_table(env, doc_id, &hashes)?;
         }
         common::commit_set(env, self.name(), doc_id)
@@ -353,7 +351,7 @@ fn apply_diff_level(
     compressed: bool,
 ) -> Result<()> {
     let _span = env.obs().span("diff_apply");
-    let blob = env.blobs().get(&UpdateSaver::diff_key(doc_id))?;
+    let blob = env.blobs().get(&layout::diff_key(doc_id))?;
     let entries: Vec<(usize, DiffEntry)> = if compressed {
         // XOR-decompress every selected entry against the (read-only)
         // base level across the thread budget, then apply the writes
@@ -718,9 +716,14 @@ mod tests {
         let new_id = env.docs().insert(common::SETS_COLLECTION, doc).unwrap();
         let params = env.blobs().get(&common::params_key("update", base_id)).unwrap();
         env.blobs().put(&common::params_key("update", new_id), &params).unwrap();
-        let hashes = env.blobs().get(&UpdateSaver::hashes_key(base_id)).unwrap();
-        env.blobs().put(&UpdateSaver::hashes_key(new_id), &hashes).unwrap();
-        let fake = ModelSetId { approach: saver.name().into(), key: new_id.to_string() };
+        let hashes = env.blobs().get(&layout::hashes_key(base_id)).unwrap();
+        env.blobs()
+            .put(&layout::hashes_key(new_id), &hashes)
+            .unwrap();
+        let fake = ModelSetId {
+            approach: saver.name().into(),
+            key: new_id.to_string(),
+        };
         commit::commit_save(&env, &fake).unwrap();
 
         let s1 = mutate(&s0, &[0], &[]);
@@ -752,7 +755,10 @@ mod tests {
             blob: compress_delta(&[1.0, 2.0, 3.0], &[1.5, 2.0, 3.0]),
         };
         env.blobs()
-            .put(&UpdateSaver::diff_key(doc_id), &encode_diff_compressed(&[wrong]).unwrap())
+            .put(
+                &layout::diff_key(doc_id),
+                &encode_diff_compressed(&[wrong]).unwrap(),
+            )
             .unwrap();
         let err = saver.recover_models(&env, &id1, &[0]).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "got: {err}");
@@ -764,7 +770,10 @@ mod tests {
             blob: compress_delta(&[1.0], &[2.0]),
         };
         env.blobs()
-            .put(&UpdateSaver::diff_key(doc_id), &encode_diff_compressed(&[oob]).unwrap())
+            .put(
+                &layout::diff_key(doc_id),
+                &encode_diff_compressed(&[oob]).unwrap(),
+            )
             .unwrap();
         let err = saver.recover_models(&env, &id1, &[0]).unwrap_err();
         assert!(
@@ -779,7 +788,10 @@ mod tests {
             blob: vec![0xFF],
         };
         env.blobs()
-            .put(&UpdateSaver::diff_key(doc_id), &encode_diff_compressed(&[foreign]).unwrap())
+            .put(
+                &layout::diff_key(doc_id),
+                &encode_diff_compressed(&[foreign]).unwrap(),
+            )
             .unwrap();
         assert!(saver.recover_models(&env, &id1, &[0]).is_ok());
     }

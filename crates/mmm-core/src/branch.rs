@@ -39,9 +39,10 @@ use crate::approach::{ModelSetSaver, UpdateSaver};
 use crate::commit;
 use crate::env::ManagementEnv;
 use crate::gc;
+use crate::layout;
 use crate::lineage;
 use crate::model_set::{Derivation, ModelSetId};
-use crate::param_codec::{decode_hashes, encode_diff};
+use crate::param_codec::encode_diff;
 use mmm_dnn::TrainConfig;
 use mmm_util::{Error, Result};
 use serde_json::{json, Value};
@@ -193,11 +194,11 @@ pub fn fork(env: &ManagementEnv, source: &ModelSetId, back: usize, name: &str) -
     {
         let _span = env.obs().span("blob_put");
         let empty = encode_diff(&[])?;
-        env.with_retry(|| env.blobs().put(&UpdateSaver::diff_key(fork_doc_id), &empty))?;
-        let hashes = decode_hashes(&env.blobs().get(&UpdateSaver::hashes_key(node_doc_id))?)?;
+        env.with_retry(|| env.blobs().put(&layout::diff_key(fork_doc_id), &empty))?;
+        let hashes = UpdateSaver::read_hash_table(env, node_doc_id)?;
         UpdateSaver::put_hash_table(env, fork_doc_id, &hashes)?;
     }
-    let head = ModelSetId { approach: "update".into(), key: fork_doc_id.to_string() };
+    let head = layout::set_id("update", fork_doc_id);
     let branch_doc = json!({
         "branch": name,
         "approach": "update",
@@ -281,7 +282,7 @@ fn chain_layer_bytes(env: &ManagementEnv, id: &ModelSetId) -> Result<Vec<u64>> {
 }
 
 fn hash_table_of(env: &ManagementEnv, id: &ModelSetId) -> Result<Vec<Vec<u64>>> {
-    decode_hashes(&env.blobs().get(&UpdateSaver::hashes_key(common::doc_id_of(id)?))?)
+    UpdateSaver::read_hash_table(env, common::doc_id_of(id)?)
 }
 
 /// Structural diff of two committed update sets: changed / added /
@@ -461,10 +462,13 @@ pub fn merge(
     })
 }
 
-fn tolerate_not_found<T>(r: Result<T>) -> Result<Option<T>> {
+/// How many things a deletion removed: one, or none when it answers
+/// `NotFound` — an earlier attempt already got here, so a replay
+/// counts it as done rather than failed.
+pub(crate) fn deleted(r: Result<()>) -> Result<usize> {
     match r {
-        Ok(v) => Ok(Some(v)),
-        Err(Error::NotFound(_)) => Ok(None),
+        Ok(()) => Ok(1),
+        Err(Error::NotFound(_)) => Ok(0),
         Err(e) => Err(e),
     }
 }
@@ -508,7 +512,7 @@ pub fn advance(env: &ManagementEnv, name: &str, new_head: &ModelSetId) -> Result
             continue;
         }
         commit::decommit(env, &branch_commit_id(old_id))?;
-        tolerate_not_found(env.docs().delete(BRANCHES_COLLECTION, old_id))?;
+        deleted(env.docs().delete(BRANCHES_COLLECTION, old_id))?;
     }
     env.obs().inc(&format!("mmm_branch_ops_total{{branch=\"{name}\"}}"), 1);
     Ok(Branch { name: name.into(), doc_id, head: new_head.clone(), root: cur.root, nodes })
@@ -576,9 +580,7 @@ pub fn delete_branch(env: &ManagementEnv, name: &str) -> Result<BranchDeleteRepo
     // still find the node list and finish the job.
     for (doc_id, _) in &docs {
         report.commits_deleted += commit::decommit(env, &branch_commit_id(*doc_id))?;
-        if tolerate_not_found(env.docs().delete(BRANCHES_COLLECTION, *doc_id))?.is_some() {
-            report.docs_deleted += 1;
-        }
+        report.docs_deleted += deleted(env.docs().delete(BRANCHES_COLLECTION, *doc_id))?;
     }
     env.obs().inc("mmm_branch_deletes_total", 1);
     Ok(report)

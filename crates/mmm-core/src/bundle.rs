@@ -19,6 +19,7 @@ use std::collections::HashMap;
 use crate::approach::common;
 use crate::commit;
 use crate::env::ManagementEnv;
+use crate::layout;
 use crate::lineage::lineage;
 use crate::model_set::ModelSetId;
 use mmm_util::codec::{put_str, put_u32, Reader};
@@ -27,26 +28,6 @@ use serde_json::Value;
 
 const MAGIC: &[u8; 4] = b"MMBN";
 const VERSION: u32 = 1;
-
-/// Blob keys belonging to a chain node of the given approach/kind.
-/// Shared with [`crate::fsck`], which audits the same expectations.
-pub(crate) fn node_blob_keys(approach: &str, kind: &str, doc_id: u64) -> Vec<String> {
-    match (approach, kind) {
-        ("baseline", "full") | ("provenance", "full") => {
-            vec![common::params_key(approach, doc_id)]
-        }
-        ("provenance", "prov") => vec![format!("provenance/{doc_id}/updates.jsonl")],
-        ("update", "full") => vec![
-            common::params_key("update", doc_id),
-            format!("update/{doc_id}/hashes.bin"),
-        ],
-        ("update", "diff" | "diffz") => vec![
-            format!("update/{doc_id}/diff.bin"),
-            format!("update/{doc_id}/hashes.bin"),
-        ],
-        _ => Vec::new(),
-    }
-}
 
 /// Export a saved set and its full recovery chain as one byte bundle.
 ///
@@ -75,7 +56,7 @@ pub fn export_set(env: &ManagementEnv, id: &ModelSetId) -> Result<Vec<u8>> {
         put_str(&mut buf, &node.id.key);
         put_str(&mut buf, &node.kind);
         put_str(&mut buf, &doc.to_string());
-        let keys = node_blob_keys(&id.approach, &node.kind, doc_id);
+        let keys = layout::node_blob_keys(&id.approach, &node.kind, doc_id);
         put_u32(&mut buf, keys.len() as u32);
         for key in keys {
             let blob = env.blobs().get(&key)?;
@@ -146,18 +127,14 @@ pub fn import_set(env: &ManagementEnv, bundle: &[u8]) -> Result<ModelSetId> {
                 .rsplit('/')
                 .next()
                 .ok_or_else(|| Error::corrupt("malformed blob key in bundle"))?;
-            env.with_retry(|| {
-                env.blobs().put(&format!("{approach}/{new_id}/{artifact}"), bytes)
-            })?;
+            let key = format!("{}/{artifact}", layout::doc_dir(&approach, new_id));
+            env.with_retry(|| env.blobs().put(&key, bytes))?;
         }
         // Every chain node is a recoverable set in its own right, so
         // each gets its own commit record — a crash mid-import leaves a
         // committed prefix of the chain plus invisible debris, never a
         // half-visible set.
-        commit::commit_save(
-            env,
-            &ModelSetId { approach: approach.clone(), key: new_id.to_string() },
-        )?;
+        commit::commit_save(env, &layout::set_id(&approach, new_id))?;
         id_map.insert(node.old_key.clone(), new_id.to_string());
         newest_new_key = Some(new_id.to_string());
     }

@@ -10,6 +10,7 @@ use std::fmt;
 use crate::approach::common;
 use crate::commit;
 use crate::env::ManagementEnv;
+use crate::layout::{self, SetLayout, MMLIB_BASE, MODELS_COLLECTION};
 use crate::model_set::ModelSetId;
 use mmm_store::StorageTier;
 use mmm_util::Result;
@@ -97,21 +98,19 @@ pub struct SetSummary {
     pub bytes_stored: TierBytes,
 }
 
-/// Sum blob sizes under `prefixes`, attributing each key to its tier.
-/// Best-effort: a prefix that fails to list, or a key that fails to
-/// stat (deleted mid-walk, or a fault-injection hiccup), contributes
-/// zero instead of failing the whole catalog listing.
-fn tier_bytes(env: &ManagementEnv, prefixes: &[String]) -> TierBytes {
+/// Sum the sizes of the blobs set `id` owns, attributing each key to
+/// its tier. Best-effort: a set whose blobs fail to list, or a key that
+/// fails to stat (deleted mid-walk, or a fault-injection hiccup),
+/// contributes zero instead of failing the whole catalog listing.
+fn tier_bytes(env: &ManagementEnv, id: &ModelSetId) -> TierBytes {
     let mut out = TierBytes::default();
-    for prefix in prefixes {
-        let Ok(keys) = env.blobs().list_keys(prefix) else { continue };
-        for key in keys {
-            let Ok(sz) = env.blobs().size(&key) else { continue };
-            out.total += sz;
-            match env.tiered().and_then(|t| t.tier_of(&key)) {
-                Some(StorageTier::Cold) => out.cold += sz,
-                _ => out.hot += sz,
-            }
+    let keys = SetLayout::of(id).and_then(|layout| layout.list_blobs(env));
+    for key in keys.unwrap_or_default() {
+        let sz = env.blobs().size(&key).unwrap_or(0);
+        out.total += sz;
+        match env.tiered().and_then(|t| t.tier_of(&key)) {
+            Some(StorageTier::Cold) => out.cold += sz,
+            _ => out.hot += sz,
         }
     }
     out
@@ -135,8 +134,10 @@ pub fn list_sets(env: &ManagementEnv) -> Result<Vec<SetSummary>> {
             if !committed.contains(&(approach.to_string(), doc_id.to_string())) {
                 continue;
             }
+            let id = layout::set_id(approach, doc_id);
             out.push(SetSummary {
-                id: ModelSetId { approach: approach.into(), key: doc_id.to_string() },
+                bytes_stored: tier_bytes(env, &id),
+                id,
                 kind: doc
                     .get("kind")
                     .and_then(Value::as_str)
@@ -145,57 +146,25 @@ pub fn list_sets(env: &ManagementEnv) -> Result<Vec<SetSummary>> {
                 n_models: doc.get("n_models").and_then(Value::as_u64).unwrap_or(0) as usize,
                 base: doc.get("base").and_then(Value::as_str).map(String::from),
                 branch: doc.get("branch").and_then(Value::as_str).map(String::from),
-                bytes_stored: tier_bytes(env, &[format!("{approach}/{doc_id}/")]),
             });
         }
     }
 
     // MMlib-base: group per-model documents back into their save
-    // batches using the batch-head marker on each save's first document.
-    let mmlib_docs = env
-        .docs()
-        .find_eq("models", "approach", &Value::String("mmlib-base".into()))?;
-    let mut rows: Vec<(u64, bool)> = mmlib_docs
-        .iter()
-        .map(|(id, doc)| (*id, doc.get("batch_head").and_then(Value::as_bool).unwrap_or(false)))
-        .collect();
-    rows.sort_unstable_by_key(|(id, _)| *id);
-    let mut i = 0;
-    while i < rows.len() {
-        let start = rows[i].0;
-        let mut end = i;
-        while end + 1 < rows.len() && !rows[end + 1].1 {
-            end += 1;
-        }
-        let count = end - i + 1;
-        // Guard against salvage damage: a run whose first row lacks the
-        // batch-head marker is debris from a decapitated batch, and a
-        // run whose head survived may have swallowed the rows of a
-        // *following* batch that lost its head. Trust the commit record
-        // over the markers — emit the longest committed prefix of the
-        // run and treat the remainder as invisible debris, so a
-        // salvaged log can never silently merge two batches.
-        if rows[i].1 {
-            let mut k = count;
-            while k > 0 {
-                let key = format!("{start}:{k}");
-                if committed.contains(&("mmlib-base".to_string(), key.clone())) {
-                    let prefixes: Vec<String> =
-                        (start..start + k as u64).map(|id| format!("mmlib/m{id}/")).collect();
-                    out.push(SetSummary {
-                        id: ModelSetId { approach: "mmlib-base".into(), key },
-                        kind: SetKind::Full,
-                        n_models: k,
-                        base: None,
-                        branch: None,
-                        bytes_stored: tier_bytes(env, &prefixes),
-                    });
-                    break;
-                }
-                k -= 1;
-            }
-        }
-        i = end + 1;
+    // batches; rows no commit record covers are invisible debris.
+    let mmlib = Value::String(MMLIB_BASE.into());
+    let mmlib_docs = env.docs().find_eq(MODELS_COLLECTION, "approach", &mmlib)?;
+    let runs = layout::mmlib_batches(&mmlib_docs, &committed);
+    for batch in runs.into_iter().filter_map(|(batch, _debris)| batch) {
+        let id = batch.id();
+        out.push(SetSummary {
+            bytes_stored: tier_bytes(env, &id),
+            id,
+            kind: SetKind::Full,
+            n_models: batch.count,
+            base: None,
+            branch: None,
+        });
     }
 
     out.sort_by(|a, b| (a.id.approach.as_str(), a.id.key.as_str()).cmp(&(b.id.approach.as_str(), b.id.key.as_str())));
@@ -305,7 +274,7 @@ mod tests {
         // Simulate a salvaged log that lost batch 2's head row: its
         // remaining rows now follow batch 1 with no head marker between.
         let start2: u64 = id2.key.split(':').next().unwrap().parse().unwrap();
-        env.docs().delete("models", start2).unwrap();
+        env.docs().delete(MODELS_COLLECTION, start2).unwrap();
 
         let cat = list_sets(&env).unwrap();
         let mmlib: Vec<&SetSummary> = cat.iter().filter(|e| e.id.approach == "mmlib-base").collect();
@@ -326,7 +295,7 @@ mod tests {
         // Decapitate the FIRST batch: its surviving rows start the scan
         // without a head marker and must not form a phantom batch.
         let start1: u64 = id1.key.split(':').next().unwrap().parse().unwrap();
-        env.docs().delete("models", start1).unwrap();
+        env.docs().delete(MODELS_COLLECTION, start1).unwrap();
 
         let cat = list_sets(&env).unwrap();
         let mmlib: Vec<&SetSummary> = cat.iter().filter(|e| e.id.approach == "mmlib-base").collect();

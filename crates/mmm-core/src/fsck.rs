@@ -2,38 +2,48 @@
 //!
 //! [`crate::verify`] audits *one* set the operator already knows about;
 //! `fsck` walks the **whole environment** and classifies every kind of
-//! damage a crash or bit rot can leave behind:
+//! damage a crash or bit rot can leave behind. Three classes come from
+//! the audits it shares with `verify` — the node audit and the hash
+//! audit, run here over every committed set:
+//!
+//! - **missing blobs** — a committed set references an absent artifact,
+//! - **dangling chains** — a derived set whose base document is gone or
+//!   was never committed,
+//! - **hash mismatches** — an Update set's recovered parameters disagree
+//!   with its persisted layer hashes (silent bit corruption).
+//!
+//! The rest are store-wide: only a scan of everything stored, not of one
+//! chain, can see them:
 //!
 //! - **uncommitted saves** — phase-one debris (documents/blobs written
 //!   before the commit record landed); invisible to readers, safe to GC,
-//! - **missing blobs** — a committed set references an absent artifact,
-//! - **hash mismatches** — an Update set's recovered parameters disagree
-//!   with its persisted layer hashes (silent bit corruption),
-//! - **dangling chains** — a derived set whose base document is gone or
-//!   was never committed,
 //! - **dangling commits** — commit records whose set documents are gone,
-//! - **orphan blobs** — blobs no document accounts for.
+//! - **orphan branches** — branch heads pointing at a set that is gone,
+//! - **orphan blobs / chunks** — blobs no document accounts for, chunk
+//!   payloads no manifest references.
 //!
 //! [`repair`] garbage-collects the harmless classes (uncommitted debris,
 //! orphan blobs, dangling commits) and **quarantines** corrupt sets:
 //! their blobs move under the [`QUARANTINE_PREFIX`], their documents and
 //! commit records are removed, and a reason record lands in the
 //! [`QUARANTINE_COLLECTION`] — the damage stays inspectable without
-//! masquerading as recoverable data. Quarantining a chain's base may
-//! expose its descendants as newly dangling, so run fsck→repair until
-//! clean for deeply damaged stores.
+//! masquerading as recoverable data. The audited unit is the node, not
+//! the chain: quarantining a chain's base exposes its descendants as
+//! newly dangling, so run fsck→repair until clean for deeply damaged
+//! stores.
 
 use std::collections::{HashMap, HashSet};
 
 use serde_json::{json, Value};
 
-use crate::approach::{common, ModelSetSaver, UpdateSaver};
-use crate::bundle::node_blob_keys;
+use crate::approach::common;
+use crate::branch::deleted;
 use crate::commit;
 use crate::env::ManagementEnv;
+use crate::layout::{self, MmlibBatch, SetLayout, MMLIB_BASE, MODELS_COLLECTION};
 use crate::model_set::ModelSetId;
-use crate::param_codec::decode_hashes;
-use mmm_util::{Error, Result};
+use crate::verify::Audit;
+use mmm_util::Result;
 
 /// Blob-key prefix under which [`repair`] parks corrupt sets' artifacts.
 pub const QUARANTINE_PREFIX: &str = "quarantine/";
@@ -45,14 +55,15 @@ const RESERVED_PREFIXES: [&str; 2] = [QUARANTINE_PREFIX, "cli/"];
 /// Document collection recording why each set was quarantined.
 pub const QUARANTINE_COLLECTION: &str = "quarantine";
 
-/// MMlib-base's per-model document collection (mirrored privately there).
-const MODELS_COLLECTION: &str = "models";
-
-/// One classified problem found by [`fsck`].
+/// One classified problem found by [`fsck`]. `MissingBlob` and
+/// `DanglingChain` come from the node audit and `HashMismatch` from the
+/// hash audit, both shared with [`crate::verify::verify_set`] (which
+/// also reports an MMlib-base batch's missing rows as `DanglingCommit`);
+/// every other class needs the store-wide scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Damage {
-    /// Phase-one debris of a save that never committed: the listed
-    /// documents and blobs exist but no reader will ever see them.
+    /// Store-wide: phase-one debris of a save that never committed: the
+    /// listed documents and blobs exist but no reader will ever see them.
     UncommittedSave {
         /// The never-visible set the debris belongs to.
         id: ModelSetId,
@@ -61,36 +72,37 @@ pub enum Damage {
         /// Blob keys of the debris that exist on disk.
         blobs: Vec<String>,
     },
-    /// A committed set references a blob that does not exist.
+    /// Node audit: a committed set references a blob that does not exist
+    /// (or, content-addressed, lacks a chunk).
     MissingBlob {
         /// The damaged set.
         id: ModelSetId,
         /// The absent blob's key.
         key: String,
     },
-    /// An Update set's recovered parameters do not match its persisted
-    /// layer hashes — silent corruption of a parameter payload.
+    /// Hash audit: an Update set's recovered parameters do not match its
+    /// persisted layer hashes — silent corruption of a parameter payload.
     HashMismatch {
         /// The damaged set.
         id: ModelSetId,
         /// What the audit observed.
         detail: String,
     },
-    /// A committed derived set whose recovery chain is broken.
+    /// Node audit: a committed derived set whose recovery chain is broken.
     DanglingChain {
         /// The damaged set.
         id: ModelSetId,
         /// Which link is broken and how.
         detail: String,
     },
-    /// A commit record whose set documents no longer exist.
+    /// Store-wide: a commit record whose set documents no longer exist.
     DanglingCommit {
         /// The committed-but-gone set.
         id: ModelSetId,
         /// What is missing.
         detail: String,
     },
-    /// A committed branch head whose target set is gone or was never
+    /// Store-wide: a committed branch head whose target set is gone or was never
     /// committed (e.g. the parent commit record vanished). The branch
     /// pointer is unusable; repair quarantines it rather than letting
     /// resolution fail forever.
@@ -102,12 +114,12 @@ pub enum Damage {
         /// What is missing.
         detail: String,
     },
-    /// A blob under no live document's key space.
+    /// Store-wide: a blob under no live document's key space.
     OrphanBlob {
         /// The unowned blob's key.
         key: String,
     },
-    /// A content-addressed chunk payload no manifest references —
+    /// Store-wide: a content-addressed chunk payload no manifest references —
     /// crash-leaked or left behind by an interrupted GC. Safe to reclaim.
     OrphanChunk {
         /// The unreferenced chunk's key (under `cas/chunks/`).
@@ -135,20 +147,6 @@ impl Damage {
             }
             Damage::OrphanBlob { key } => format!("orphan blob {key}"),
             Damage::OrphanChunk { key } => format!("orphan chunk {key}"),
-        }
-    }
-
-    /// The damaged set's id, when the damage is set-scoped.
-    fn set_id(&self) -> Option<&ModelSetId> {
-        match self {
-            Damage::UncommittedSave { id, .. }
-            | Damage::MissingBlob { id, .. }
-            | Damage::HashMismatch { id, .. }
-            | Damage::DanglingChain { id, .. }
-            | Damage::DanglingCommit { id, .. } => Some(id),
-            Damage::OrphanBranch { .. } | Damage::OrphanBlob { .. } | Damage::OrphanChunk { .. } => {
-                None
-            }
         }
     }
 }
@@ -190,53 +188,8 @@ pub struct RepairReport {
     pub branches_quarantined: usize,
 }
 
-/// The owner prefix of a blob key: its first two `/` segments
-/// (`baseline/7`, `mmlib/m3`, `quarantine/update`…).
-fn owner_of(key: &str) -> String {
-    key.splitn(3, '/').take(2).collect::<Vec<_>>().join("/")
-}
-
-/// MMlib-base batches reconstructed from the per-model rows: id-sorted
-/// runs starting at each `batch_head` marker, as the catalog groups them.
-fn mmlib_batches(rows: &[(u64, Value)]) -> Vec<(String, Vec<u64>)> {
-    let mut sorted: Vec<(u64, bool)> = rows
-        .iter()
-        .map(|(id, doc)| (*id, doc.get("batch_head").and_then(Value::as_bool).unwrap_or(false)))
-        .collect();
-    sorted.sort_unstable_by_key(|(id, _)| *id);
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < sorted.len() {
-        let mut end = i;
-        while end + 1 < sorted.len() && !sorted[end + 1].1 {
-            end += 1;
-        }
-        let ids: Vec<u64> = sorted[i..=end].iter().map(|(id, _)| *id).collect();
-        out.push((format!("{}:{}", ids[0], ids.len()), ids));
-        i = end + 1;
-    }
-    out
-}
-
-/// The committed set a logical blob key belongs to. Per-model `mmlib/m*`
-/// keys resolve through the reconstructed batch map; everything else is
-/// `approach/doc_id/...`.
-fn set_of_blob_key(key: &str, mmlib_batch_of: &HashMap<u64, String>) -> Option<ModelSetId> {
-    let mut parts = key.splitn(3, '/');
-    let first = parts.next()?;
-    let second = parts.next()?;
-    if first == "mmlib" {
-        let rid: u64 = second.strip_prefix('m')?.parse().ok()?;
-        let batch = mmlib_batch_of.get(&rid)?;
-        Some(ModelSetId { approach: "mmlib-base".into(), key: batch.clone() })
-    } else {
-        second.parse::<u64>().ok()?;
-        Some(ModelSetId { approach: first.into(), key: second.into() })
-    }
-}
-
 /// Salvage the document logs of an environment directory whose strict
-/// open fails with [`Error::Corrupt`] (a flipped or garbled record in a
+/// open fails with [`mmm_util::Error::Corrupt`] (a flipped or garbled record in a
 /// collection log). Quarantines the bad records into sidecar files so
 /// the environment opens again; run [`fsck`] + [`repair`] afterwards to
 /// classify and clear whatever the dropped records orphaned.
@@ -247,94 +200,66 @@ pub fn salvage_docs(dir: impl AsRef<std::path::Path>) -> Result<mmm_store::Salva
 /// Scan the whole environment and classify every inconsistency.
 /// Read-only — repair decisions are a separate, explicit step.
 pub fn fsck(env: &ManagementEnv) -> Result<FsckReport> {
-    let mut report = FsckReport::default();
-    let committed = commit::committed_ids(env)?;
+    let committed = &commit::committed_ids(env)?;
 
     // ---- set-oriented documents (baseline / update / provenance) ----
     let set_docs = env.docs().all(common::SETS_COLLECTION)?;
-    let set_ids: HashSet<u64> = set_docs.iter().map(|(id, _)| *id).collect();
-    let mut owners: HashSet<String> = HashSet::new();
+    let mut audit = Audit::new(env, committed);
+    audit.set_docs = set_docs.iter().map(|(id, _)| *id).collect();
+    // Every document's blob directory → the committed set it belongs
+    // to (`None`: uncommitted debris).
+    let mut owners: HashMap<String, Option<ModelSetId>> = HashMap::new();
+    let mut update_sets = Vec::new();
 
     for (doc_id, doc) in &set_docs {
-        let approach = doc
-            .get("approach")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_string();
-        owners.insert(format!("{approach}/{doc_id}"));
-        let id = ModelSetId { approach: approach.clone(), key: doc_id.to_string() };
-        if !committed.contains(&(approach.clone(), doc_id.to_string())) {
-            let blobs = env.blobs().list_keys(&format!("{approach}/{doc_id}"))?;
-            report.damage.push(Damage::UncommittedSave { id, docs: vec![*doc_id], blobs });
-            continue;
-        }
-        report.sets_checked += 1;
-        let kind = doc.get("kind").and_then(Value::as_str).unwrap_or("?");
-        for key in node_blob_keys(&approach, kind, *doc_id) {
-            report.blobs_checked += 1;
-            if env.blobs().verify_blob(&key).is_err() {
-                report.damage.push(Damage::MissingBlob { id: id.clone(), key });
+        let approach = doc.get("approach").and_then(Value::as_str).unwrap_or("?");
+        let id = layout::set_id(approach, *doc_id);
+        let dir = layout::doc_dir(approach, *doc_id);
+        if audit.is_committed(approach, &id.key) {
+            audit.found.sets_checked += 1;
+            let before = audit.found.damage.len();
+            audit.node(approach, *doc_id, doc);
+            // Hash-audited below, if its structure looks intact.
+            if approach == "update" && audit.found.damage.len() == before {
+                update_sets.push(id.clone());
             }
-        }
-        if let Some(base) = doc.get("base") {
-            match base.as_str().and_then(|s| s.parse::<u64>().ok()) {
-                Some(b) if set_ids.contains(&b) => {
-                    if !committed.contains(&(approach.clone(), b.to_string())) {
-                        report.damage.push(Damage::DanglingChain {
-                            id: id.clone(),
-                            detail: format!("base {b} exists but was never committed"),
-                        });
-                    }
-                }
-                Some(b) => report.damage.push(Damage::DanglingChain {
-                    id: id.clone(),
-                    detail: format!("base document {b} is missing"),
-                }),
-                None => report.damage.push(Damage::DanglingChain {
-                    id: id.clone(),
-                    detail: "malformed base reference".into(),
-                }),
-            }
+            owners.insert(dir, Some(id));
+        } else {
+            let (docs, blobs) = (vec![*doc_id], env.blobs().list_keys(&dir)?);
+            audit.flag(Damage::UncommittedSave { id, docs, blobs });
+            owners.insert(dir, None);
         }
     }
 
     // ---- MMlib-base per-model rows, grouped into save batches ----
     let model_rows = env.docs().all(MODELS_COLLECTION)?;
-    let rows_by_id: HashMap<u64, &Value> =
-        model_rows.iter().map(|(id, doc)| (*id, doc)).collect();
-    for (doc_id, _) in &model_rows {
-        owners.insert(format!("mmlib/m{doc_id}"));
-    }
-    let batches = mmlib_batches(&model_rows);
-    let mmlib_batch_of: HashMap<u64, String> = batches
-        .iter()
-        .flat_map(|(key, ids)| ids.iter().map(|rid| (*rid, key.clone())))
-        .collect();
-    for (key, row_ids) in batches {
-        let id = ModelSetId { approach: "mmlib-base".into(), key: key.clone() };
-        if !committed.contains(&("mmlib-base".to_string(), key)) {
-            let mut blobs = Vec::new();
-            for rid in &row_ids {
-                blobs.extend(env.blobs().list_keys(&format!("mmlib/m{rid}"))?);
+    let row_ids: HashSet<u64> = model_rows.iter().map(|(id, _)| *id).collect();
+    for (batch, debris) in layout::mmlib_batches(&model_rows, committed) {
+        if let Some(batch) = batch {
+            let id = batch.id();
+            audit.found.sets_checked += 1;
+            audit.blobs(&id, batch.blob_keys());
+            for row in batch.doc_ids().filter(|row| row_ids.contains(row)) {
+                owners.insert(layout::doc_dir(MMLIB_BASE, row), Some(id.clone()));
             }
-            report.damage.push(Damage::UncommittedSave { id, docs: row_ids, blobs });
-            continue;
         }
-        report.sets_checked += 1;
-        for rid in &row_ids {
-            for artifact in ["params.pt", "code.py", "environment.yaml"] {
-                report.blobs_checked += 1;
-                let key = format!("mmlib/m{rid}/{artifact}");
-                if env.blobs().verify_blob(&key).is_err() {
-                    report.damage.push(Damage::MissingBlob { id: id.clone(), key });
-                }
+        if let Some(&first) = debris.first() {
+            let mut blobs = Vec::new();
+            for row in &debris {
+                let dir = layout::doc_dir(MMLIB_BASE, *row);
+                blobs.extend(env.blobs().list_keys(&dir)?);
+                owners.insert(dir, None);
             }
+            let count = debris.len();
+            let (id, docs) = (MmlibBatch { first, count }.id(), debris);
+            audit.flag(Damage::UncommittedSave { id, docs, blobs });
         }
     }
 
     // ---- branch heads (version-graph pointers into the set space) ----
     let branch_docs = env.docs().all(crate::branch::BRANCHES_COLLECTION)?;
     let branch_ids: HashSet<u64> = branch_docs.iter().map(|(id, _)| *id).collect();
+    let report = &mut audit.found;
     for (doc_id, doc) in &branch_docs {
         let name = doc.get("branch").and_then(Value::as_str).unwrap_or("?").to_string();
         if !committed.contains(&(crate::branch::BRANCH_APPROACH.to_string(), doc_id.to_string())) {
@@ -353,7 +278,7 @@ pub fn fsck(env: &ManagementEnv) -> Result<FsckReport> {
         report.sets_checked += 1;
         let head = doc.get("head").and_then(Value::as_str).unwrap_or("");
         match head.parse::<u64>() {
-            Ok(h) if !set_ids.contains(&h) => report.damage.push(Damage::OrphanBranch {
+            Ok(h) if !audit.set_docs.contains(&h) => report.damage.push(Damage::OrphanBranch {
                 name,
                 doc_id: *doc_id,
                 detail: format!("head set document {h} is missing"),
@@ -375,55 +300,28 @@ pub fn fsck(env: &ManagementEnv) -> Result<FsckReport> {
     }
 
     // ---- commit records whose documents are gone ----
-    for (approach, key) in &committed {
+    for (approach, key) in committed {
         let id = ModelSetId { approach: approach.clone(), key: key.clone() };
-        if approach == crate::branch::BRANCH_APPROACH {
-            match key.parse::<u64>() {
-                Ok(doc_id) if branch_ids.contains(&doc_id) => {}
-                Ok(doc_id) => report.damage.push(Damage::DanglingCommit {
-                    id,
-                    detail: format!("branch document {doc_id} is gone"),
-                }),
-                Err(_) => report.damage.push(Damage::DanglingCommit {
-                    id,
-                    detail: "malformed branch key".into(),
-                }),
-            }
-        } else if approach == "mmlib-base" {
-            let parsed = key
-                .split_once(':')
-                .and_then(|(a, b)| Some((a.parse::<u64>().ok()?, b.parse::<usize>().ok()?)));
-            match parsed {
-                Some((first, count)) => {
-                    let missing: Vec<u64> = (0..count as u64)
-                        .map(|i| first + i)
-                        .filter(|rid| !rows_by_id.contains_key(rid))
-                        .collect();
-                    if !missing.is_empty() {
-                        report.damage.push(Damage::DanglingCommit {
-                            id,
-                            detail: format!("batch rows {missing:?} are gone"),
-                        });
-                    }
+        if approach == MMLIB_BASE {
+            match MmlibBatch::parse(key) {
+                Ok(batch) => audit.batch_rows(batch, |row| row_ids.contains(&row)),
+                Err(_) => {
+                    let detail = "malformed batch key".into();
+                    audit.flag(Damage::DanglingCommit { id, detail });
                 }
-                None => report.damage.push(Damage::DanglingCommit {
-                    id,
-                    detail: "malformed batch key".into(),
-                }),
             }
-        } else {
-            match key.parse::<u64>() {
-                Ok(doc_id) if set_ids.contains(&doc_id) => {}
-                Ok(doc_id) => report.damage.push(Damage::DanglingCommit {
-                    id,
-                    detail: format!("set document {doc_id} is gone"),
-                }),
-                Err(_) => report.damage.push(Damage::DanglingCommit {
-                    id,
-                    detail: "malformed set key".into(),
-                }),
-            }
+            continue;
         }
+        let (existing, what) = match layout::collection_of(approach) {
+            crate::branch::BRANCHES_COLLECTION => (&branch_ids, "branch"),
+            _ => (&audit.set_docs, "set"),
+        };
+        let detail = match key.parse::<u64>() {
+            Ok(doc_id) if existing.contains(&doc_id) => continue,
+            Ok(doc_id) => format!("{what} document {doc_id} is gone"),
+            Err(_) => format!("malformed {what} key"),
+        };
+        audit.flag(Damage::DanglingCommit { id, detail });
     }
 
     // ---- blobs no document accounts for ----
@@ -431,107 +329,43 @@ pub fn fsck(env: &ManagementEnv) -> Result<FsckReport> {
         if RESERVED_PREFIXES.iter().any(|p| key.starts_with(p)) {
             continue;
         }
-        if !owners.contains(&owner_of(&key)) {
-            report.damage.push(Damage::OrphanBlob { key });
+        if !owners.contains_key(layout::dir_of(&key)) {
+            audit.flag(Damage::OrphanBlob { key });
         }
     }
 
     // ---- content-addressed chunk audit (CAS backend only) ----
+    let mut flagged: HashSet<&ModelSetId> = HashSet::new();
     if let Some(cas) = env.blobs().cas() {
-        let audit = cas.audit()?;
-        for key in audit.orphan_chunks {
-            report.damage.push(Damage::OrphanChunk { key });
+        let chunks = cas.audit()?;
+        for key in chunks.orphan_chunks {
+            audit.flag(Damage::OrphanChunk { key });
         }
         // A corrupt chunk damages every committed set whose manifests
-        // reference it; verify_blob above only checks presence/length,
-        // so the digest cross-check surfaces here.
-        let mut flagged: HashSet<(String, String)> = HashSet::new();
-        for (chunk, owner_keys) in audit.corrupt_chunks {
-            for owner in owner_keys {
-                if RESERVED_PREFIXES.iter().any(|p| owner.starts_with(p)) {
+        // reference it; the node audit only checks presence/length, so
+        // the digest cross-check surfaces here. Blobs outside a set's
+        // directory are none of a set's damage, and uncommitted debris
+        // is already classified.
+        for (chunk, blob_keys) in chunks.corrupt_chunks {
+            for key in blob_keys {
+                let Some(Some(id)) = owners.get(layout::dir_of(&key)) else {
                     continue;
-                }
-                let Some(id) = set_of_blob_key(&owner, &mmlib_batch_of) else { continue };
-                if !committed.contains(&(id.approach.clone(), id.key.clone())) {
-                    continue; // uncommitted debris is already classified
-                }
-                if flagged.insert((id.approach.clone(), id.key.clone())) {
-                    report.damage.push(Damage::HashMismatch {
-                        id,
-                        detail: format!("blob {owner}: corrupt chunk {chunk}"),
-                    });
+                };
+                if flagged.insert(id) {
+                    let detail = format!("blob {key}: corrupt chunk {chunk}");
+                    let id = id.clone();
+                    audit.flag(Damage::HashMismatch { id, detail });
                 }
             }
         }
     }
 
     // ---- hash audit: Update sets whose structure looks intact ----
-    let damaged: HashSet<(String, String)> = report
-        .damage
-        .iter()
-        .filter_map(|d| d.set_id())
-        .map(|id| (id.approach.clone(), id.key.clone()))
-        .collect();
-    let saver = UpdateSaver::new();
-    for (doc_id, doc) in &set_docs {
-        if doc.get("approach").and_then(Value::as_str) != Some("update") {
-            continue;
-        }
-        let id = ModelSetId { approach: "update".into(), key: doc_id.to_string() };
-        if !committed.contains(&("update".to_string(), id.key.clone()))
-            || damaged.contains(&("update".to_string(), id.key.clone()))
-        {
-            continue;
-        }
-        match saver.recover_set(env, &id) {
-            Ok(set) => {
-                match env
-                    .blobs()
-                    .get(&format!("update/{doc_id}/hashes.bin"))
-                    .and_then(|b| decode_hashes(&b))
-                {
-                    Ok(stored) => {
-                        for (mi, model) in set.models().iter().enumerate() {
-                            if stored.get(mi) != Some(&model.layer_hashes()) {
-                                report.damage.push(Damage::HashMismatch {
-                                    id: id.clone(),
-                                    detail: format!(
-                                        "model {mi}: recovered params disagree with stored hashes"
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                    Err(e) => report.damage.push(Damage::HashMismatch {
-                        id: id.clone(),
-                        detail: format!("hash table unreadable: {e}"),
-                    }),
-                }
-            }
-            Err(e) => report.damage.push(Damage::HashMismatch {
-                id: id.clone(),
-                detail: format!("recovery failed: {e}"),
-            }),
-        }
+    for id in update_sets.iter().filter(|id| !flagged.contains(id)) {
+        audit.hashes(id);
     }
 
-    Ok(report)
-}
-
-fn delete_doc_quietly(env: &ManagementEnv, collection: &str, id: u64) -> Result<bool> {
-    match env.docs().delete(collection, id) {
-        Ok(()) => Ok(true),
-        Err(Error::NotFound(_)) => Ok(false),
-        Err(e) => Err(e),
-    }
-}
-
-fn delete_blob_quietly(env: &ManagementEnv, key: &str) -> Result<bool> {
-    match env.blobs().delete(key) {
-        Ok(()) => Ok(true),
-        Err(Error::NotFound(_)) => Ok(false),
-        Err(e) => Err(e),
-    }
+    Ok(audit.found)
 }
 
 /// Move a corrupt set's remains out of the live key space: decommit it,
@@ -539,42 +373,24 @@ fn delete_blob_quietly(env: &ManagementEnv, key: &str) -> Result<bool> {
 /// and record the reason in [`QUARANTINE_COLLECTION`].
 fn quarantine_set(env: &ManagementEnv, id: &ModelSetId, reason: &str) -> Result<()> {
     commit::decommit(env, id)?;
-    let (collection, doc_ids, blob_prefixes): (&str, Vec<u64>, Vec<String>) =
-        if id.approach == "mmlib-base" {
-            let (first, count) = id
-                .key
-                .split_once(':')
-                .and_then(|(a, b)| Some((a.parse::<u64>().ok()?, b.parse::<usize>().ok()?)))
-                .ok_or_else(|| Error::invalid(format!("malformed mmlib set key {:?}", id.key)))?;
-            let ids: Vec<u64> = (0..count as u64).map(|i| first + i).collect();
-            let prefixes = ids.iter().map(|i| format!("mmlib/m{i}")).collect();
-            (MODELS_COLLECTION, ids, prefixes)
-        } else {
-            let doc_id = common::doc_id_of(id)?;
-            (
-                common::SETS_COLLECTION,
-                vec![doc_id],
-                vec![format!("{}/{doc_id}", id.approach)],
-            )
-        };
-    for prefix in &blob_prefixes {
-        for key in env.blobs().list_keys(prefix)? {
-            match env.blobs().get(&key) {
-                Ok(bytes) => {
-                    env.blobs().put(&format!("{QUARANTINE_PREFIX}{key}"), &bytes)?;
-                    env.blobs().delete(&key)?;
-                }
-                // Unreadable (e.g. a corrupt content-addressed chunk):
-                // nothing worth parking — drop the blob so it cannot
-                // masquerade as recoverable data.
-                Err(_) => {
-                    let _ = env.blobs().delete(&key);
-                }
+    let layout = SetLayout::of(id)?;
+    for key in layout.list_blobs(env)? {
+        match env.blobs().get(&key) {
+            Ok(bytes) => {
+                env.blobs()
+                    .put(&format!("{QUARANTINE_PREFIX}{key}"), &bytes)?;
+                env.blobs().delete(&key)?;
+            }
+            // Unreadable (e.g. a corrupt content-addressed chunk):
+            // nothing worth parking — drop the blob so it cannot
+            // masquerade as recoverable data.
+            Err(_) => {
+                let _ = env.blobs().delete(&key);
             }
         }
     }
-    for doc_id in doc_ids {
-        delete_doc_quietly(env, collection, doc_id)?;
+    for doc_id in layout.doc_ids.clone() {
+        deleted(env.docs().delete(layout.collection(), doc_id))?;
     }
     env.docs().insert(
         QUARANTINE_COLLECTION,
@@ -592,33 +408,20 @@ pub fn repair(env: &ManagementEnv, report: &FsckReport) -> Result<RepairReport> 
     for damage in &report.damage {
         match damage {
             Damage::UncommittedSave { id, docs, blobs } => {
-                let collection = if id.approach == "mmlib-base" {
-                    MODELS_COLLECTION
-                } else if id.approach == crate::branch::BRANCH_APPROACH {
-                    crate::branch::BRANCHES_COLLECTION
-                } else {
-                    common::SETS_COLLECTION
-                };
+                let collection = layout::collection_of(&id.approach);
                 for blob in blobs {
-                    if delete_blob_quietly(env, blob)? {
-                        out.uncommitted_blobs_deleted += 1;
-                    }
+                    out.uncommitted_blobs_deleted += deleted(env.blobs().delete(blob))?;
                 }
                 for doc_id in docs {
-                    if delete_doc_quietly(env, collection, *doc_id)? {
-                        out.uncommitted_docs_deleted += 1;
-                    }
+                    out.uncommitted_docs_deleted +=
+                        deleted(env.docs().delete(collection, *doc_id))?;
                 }
             }
             Damage::OrphanBlob { key } => {
-                if delete_blob_quietly(env, key)? {
-                    out.orphan_blobs_deleted += 1;
-                }
+                out.orphan_blobs_deleted += deleted(env.blobs().delete(key))?;
             }
             Damage::OrphanChunk { key } => {
-                if delete_blob_quietly(env, key)? {
-                    out.orphan_chunks_deleted += 1;
-                }
+                out.orphan_chunks_deleted += deleted(env.blobs().delete(key))?;
             }
             Damage::DanglingCommit { id, .. } => {
                 out.dangling_commits_removed += commit::decommit(env, id)?;
@@ -629,7 +432,8 @@ pub fn repair(env: &ManagementEnv, report: &FsckReport) -> Result<RepairReport> 
                 // own damage (if its documents survive) is classified
                 // and handled separately.
                 commit::decommit(env, &crate::branch::branch_commit_id(*doc_id))?;
-                delete_doc_quietly(env, crate::branch::BRANCHES_COLLECTION, *doc_id)?;
+                let branches = crate::branch::BRANCHES_COLLECTION;
+                deleted(env.docs().delete(branches, *doc_id))?;
                 env.docs().insert(
                     QUARANTINE_COLLECTION,
                     json!({"branch": name, "doc": doc_id, "reason": detail}),
@@ -652,7 +456,9 @@ pub fn repair(env: &ManagementEnv, report: &FsckReport) -> Result<RepairReport> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approach::{BaselineSaver, MmlibBaseSaver, ModelSetSaver, ProvenanceSaver};
+    use crate::approach::{
+        BaselineSaver, MmlibBaseSaver, ModelSetSaver, ProvenanceSaver, UpdateSaver,
+    };
     use crate::model_set::{Derivation, ModelSet};
     use mmm_dnn::{Architectures, TrainConfig};
     use mmm_store::LatencyProfile;
@@ -813,6 +619,203 @@ mod tests {
         repair(&env, &r).unwrap();
         assert!(fsck(&env).unwrap().is_clean());
         assert_eq!(MmlibBaseSaver::new().recover_set(&env, &keep).unwrap(), s);
+    }
+
+    /// Two MMlib-base saves, then one of them loses its head row — what
+    /// `fsck --salvage` does to a flipped record. The rows that follow the
+    /// lost head carry no marker, so by the markers alone they belong to
+    /// the batch before them; repair must go by the commit records and
+    /// leave the healthy batch alone.
+    #[test]
+    fn repair_keeps_the_committed_batch_next_to_a_decapitated_one() {
+        for (victim, survivor) in [(1, 0), (0, 1)] {
+            let (_d, env) = env();
+            let mut saver = MmlibBaseSaver::new();
+            let sets = [set(3, 1), set(4, 2)];
+            let ids = sets
+                .each_ref()
+                .map(|s| saver.save_initial(&env, s).unwrap());
+            let head = MmlibBatch::parse(&ids[victim].key).unwrap().first;
+            env.docs().delete(MODELS_COLLECTION, head).unwrap();
+
+            // The headless rows and their blobs are debris, the
+            // decapitated batch's commit dangles, and nothing is said
+            // about the batch that is whole.
+            let mut scan = fsck(&env).unwrap();
+            let headless = sets[victim].len() - 1;
+            assert!(
+                scan.damage
+                    .iter()
+                    .any(|d| matches!(d, Damage::UncommittedSave { docs, blobs, .. }
+                    if docs.len() == headless && blobs.len() == 3 * headless)),
+                "{:?}",
+                scan.damage
+            );
+            assert!(scan
+                .damage
+                .iter()
+                .any(|d| matches!(d, Damage::DanglingCommit { id, .. } if id == &ids[victim])));
+            let about_survivor = |d: &Damage| d.describe().contains(&ids[survivor].to_string());
+            assert!(!scan.damage.iter().any(about_survivor), "{:?}", scan.damage);
+            assert_eq!(scan.sets_checked, 1);
+
+            let mut passes = 0;
+            while !scan.is_clean() {
+                passes += 1;
+                assert!(passes < 5, "repair must converge: {:?}", scan.damage);
+                let fixed = repair(&env, &scan).unwrap();
+                assert_eq!(fixed.sets_quarantined, 0);
+                scan = fsck(&env).unwrap();
+            }
+
+            // The survivor is still listed, still committed, and recovers
+            // bit-identically; nothing of the victim is left.
+            let listed = crate::catalog::list_sets(&env).unwrap();
+            let listed: Vec<&ModelSetId> = listed.iter().map(|s| &s.id).collect();
+            assert_eq!(listed, vec![&ids[survivor]]);
+            assert!(commit::is_committed(&env, &ids[survivor]).unwrap());
+            assert!(!commit::is_committed(&env, &ids[victim]).unwrap());
+            assert_eq!(
+                saver.recover_set(&env, &ids[survivor]).unwrap(),
+                sets[survivor]
+            );
+            assert_eq!(env.docs().count(MODELS_COLLECTION), sets[survivor].len());
+            let blobs = env.blobs().list_keys("mmlib").unwrap();
+            assert_eq!(blobs.len(), 3 * sets[survivor].len(), "{blobs:?}");
+        }
+    }
+
+    /// One store with one kind of damage: the sets to verify, each with
+    /// the ids of its chain's nodes.
+    type Damaged = Vec<(ModelSetId, Vec<ModelSetId>)>;
+
+    /// An Update chain `id0 ← id1`, handed to `damage` to break.
+    fn update_chain(
+        env: &ManagementEnv,
+        seed: u64,
+        damage: impl Fn(&ModelSetId, &ModelSetId),
+    ) -> Damaged {
+        let mut saver = UpdateSaver::new();
+        let mut s = set(3, seed);
+        let id0 = saver.save_initial(env, &s).unwrap();
+        s.models[0].layers[0].data[0] += 1.0;
+        let id1 = saver.save_set(env, &s, Some(&deriv(&id0))).unwrap();
+        damage(&id0, &id1);
+        vec![
+            (id0.clone(), vec![id0.clone()]),
+            (id1.clone(), vec![id1, id0]),
+        ]
+    }
+
+    fn baseline_missing_blob(env: &ManagementEnv, _dir: &std::path::Path) -> Damaged {
+        let id = BaselineSaver::new().save_initial(env, &set(3, 20)).unwrap();
+        let doc_id = common::doc_id_of(&id).unwrap();
+        env.blobs()
+            .delete(&common::params_key("baseline", doc_id))
+            .unwrap();
+        vec![(id.clone(), vec![id])]
+    }
+
+    fn update_bit_flip(env: &ManagementEnv, _dir: &std::path::Path) -> Damaged {
+        update_chain(env, 21, |_, id1| {
+            let key = layout::diff_key(common::doc_id_of(id1).unwrap());
+            let mut blob = env.blobs().get(&key).unwrap();
+            *blob.last_mut().unwrap() ^= 0x01;
+            env.blobs().put(&key, &blob).unwrap();
+        })
+    }
+
+    fn update_base_force_deleted(env: &ManagementEnv, _dir: &std::path::Path) -> Damaged {
+        let mut sets = update_chain(env, 22, |id0, _| {
+            crate::gc::delete_set(env, id0, true).unwrap();
+        });
+        sets.remove(0); // the base is no longer a set to verify
+        sets
+    }
+
+    fn update_base_uncommitted(env: &ManagementEnv, _dir: &std::path::Path) -> Damaged {
+        update_chain(env, 23, |id0, _| {
+            commit::decommit(env, id0).unwrap();
+        })
+    }
+
+    fn undamaged(env: &ManagementEnv, _dir: &std::path::Path) -> Damaged {
+        let id = MmlibBaseSaver::new()
+            .save_initial(env, &set(2, 24))
+            .unwrap();
+        let mut sets = update_chain(env, 25, |_, _| {});
+        sets.push((id.clone(), vec![id]));
+        sets
+    }
+
+    /// Content-addressed only: a Baseline set loses one chunk file.
+    fn baseline_chunk_removed(env: &ManagementEnv, dir: &std::path::Path) -> Damaged {
+        let id = BaselineSaver::new().save_initial(env, &set(3, 26)).unwrap();
+        let chunks = dir.join("blobs").join("cas").join("chunks");
+        let chunk = std::fs::read_dir(chunks).unwrap().next().unwrap().unwrap();
+        std::fs::remove_file(chunk.path()).unwrap();
+        vec![(id.clone(), vec![id])]
+    }
+
+    /// The law `verify` and `fsck` share their audits for: a set verifies
+    /// healthy exactly when fsck reports no set-scoped damage on any node
+    /// of its chain.
+    #[test]
+    fn verify_and_fsck_agree_on_every_single_damage() {
+        use mmm_store::StorageBackend::{Cas, Plain};
+        type Scenario = fn(&ManagementEnv, &std::path::Path) -> Damaged;
+        let everywhere: [(&str, Scenario); 5] = [
+            ("undamaged", undamaged),
+            ("missing blob", baseline_missing_blob),
+            ("bit-flipped update params", update_bit_flip),
+            ("force-deleted base", update_base_force_deleted),
+            ("uncommitted base", update_base_uncommitted),
+        ];
+        let cas_only: (&str, Scenario) = ("chunk file removed", baseline_chunk_removed);
+        let cases = everywhere
+            .iter()
+            .flat_map(|case| [(Plain, case), (Cas, case)])
+            .chain([(Cas, &cas_only)]);
+        for (backend, (name, scenario)) in cases {
+            let dir = TempDir::new("mmm-fsck-law").unwrap();
+            let env = ManagementEnv::builder(dir.path(), LatencyProfile::zero())
+                .backend(backend)
+                .open()
+                .unwrap();
+            let sets = scenario(&env, dir.path());
+            let scan = fsck(&env).unwrap();
+            let damaged = |node: &ModelSetId| {
+                scan.damage.iter().any(|d| match d {
+                    Damage::UncommittedSave { id, .. }
+                    | Damage::MissingBlob { id, .. }
+                    | Damage::HashMismatch { id, .. }
+                    | Damage::DanglingChain { id, .. }
+                    | Damage::DanglingCommit { id, .. } => id == node,
+                    Damage::OrphanBranch { .. }
+                    | Damage::OrphanBlob { .. }
+                    | Damage::OrphanChunk { .. } => false,
+                })
+            };
+            let mut any_damage = false;
+            for (id, chain) in &sets {
+                let verified = crate::verify::verify_set(&env, id).unwrap();
+                let fsck_clean = !chain.iter().any(damaged);
+                any_damage |= !fsck_clean;
+                assert_eq!(
+                    verified.is_healthy(),
+                    fsck_clean,
+                    "{name} on {backend:?}, set {id}: verify {:?}, fsck {:?}",
+                    verified.issues,
+                    scan.damage
+                );
+            }
+            assert_eq!(
+                any_damage,
+                *name != "undamaged",
+                "{name} on {backend:?}: {:?}",
+                scan.damage
+            );
+        }
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! its descendants, so removing it would orphan them. This module
 //! provides dependency-checked deletion and a retention sweep.
 
-use crate::approach::common;
+use crate::approach::{common, ProvenanceSaver};
 use crate::commit;
 use crate::env::ManagementEnv;
+use crate::layout::{self, SetLayout};
 use crate::model_set::ModelSetId;
 use mmm_util::{Error, Result};
 use serde_json::{json, Value};
@@ -28,7 +29,7 @@ pub fn dependents(env: &ManagementEnv, id: &ModelSetId) -> Result<Vec<ModelSetId
         .into_iter()
         .filter(|(_, doc)| doc.get("approach").and_then(Value::as_str) == Some(id.approach.as_str()))
         .filter(|(doc_id, _)| committed.contains(&(id.approach.clone(), doc_id.to_string())))
-        .map(|(doc_id, _)| ModelSetId { approach: id.approach.clone(), key: doc_id.to_string() })
+        .map(|(doc_id, _)| layout::set_id(&id.approach, doc_id))
         .collect())
 }
 
@@ -58,36 +59,20 @@ pub fn delete_set(env: &ManagementEnv, id: &ModelSetId, force: bool) -> Result<D
         }
     }
 
+    let layout = SetLayout::of(id)?;
     // Decommit first: the set disappears from readers and the catalog
     // before any artifact is touched, so a crash mid-deletion leaves
     // only invisible orphans (fsck-collectable), never a visible set
     // with missing artifacts.
     let mut report =
         DeleteReport { commits_deleted: commit::decommit(env, id)?, ..DeleteReport::default() };
-    if id.approach == "mmlib-base" {
-        let (first, count) = id
-            .key
-            .split_once(':')
-            .and_then(|(a, b)| Some((a.parse::<u64>().ok()?, b.parse::<usize>().ok()?)))
-            .ok_or_else(|| Error::invalid(format!("malformed mmlib set key {:?}", id.key)))?;
-        for i in 0..count {
-            let doc_id = first + i as u64;
-            env.docs().delete("models", doc_id)?;
-            report.docs_deleted += 1;
-            for artifact in ["params.pt", "code.py", "environment.yaml"] {
-                env.blobs().delete(&format!("mmlib/m{doc_id}/{artifact}"))?;
-                report.blobs_deleted += 1;
-            }
-        }
-        return Ok(report);
+    // Documents before blobs: a missing set is `NotFound` before any
+    // blob is touched.
+    for doc_id in layout.doc_ids.clone() {
+        env.docs().delete(layout.collection(), doc_id)?;
+        report.docs_deleted += 1;
     }
-
-    let doc_id = common::doc_id_of(id)?;
-    // Ensure it exists before touching blobs.
-    let _ = env.docs().get(common::SETS_COLLECTION, doc_id)?;
-    env.docs().delete(common::SETS_COLLECTION, doc_id)?;
-    report.docs_deleted += 1;
-    for key in env.blobs().list_keys(&format!("{}/{doc_id}", id.approach))? {
+    for key in layout.list_blobs(env)? {
         env.blobs().delete(&key)?;
         report.blobs_deleted += 1;
     }
@@ -156,17 +141,8 @@ pub fn collect_unreferenced_datasets(env: &ManagementEnv) -> Result<(usize, u64)
         if !committed.contains(&("provenance".to_string(), doc_id.to_string())) {
             continue;
         }
-        let blob = env
-            .blobs()
-            .get(&format!("provenance/{doc_id}/updates.jsonl"))?;
-        let text = String::from_utf8(blob)
-            .map_err(|_| Error::corrupt("provenance updates blob is not UTF-8"))?;
-        for line in text.lines().filter(|l| !l.is_empty()) {
-            let v: Value = serde_json::from_str(line)
-                .map_err(|e| Error::corrupt(format!("bad provenance update line: {e}")))?;
-            if let Some(id) = v.get("dataset_id").and_then(Value::as_str) {
-                referenced.insert(id.to_string());
-            }
+        for update in ProvenanceSaver::read_updates(env, doc_id)? {
+            referenced.insert(update.dataset.id);
         }
     }
 

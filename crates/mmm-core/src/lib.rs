@@ -38,6 +38,7 @@ pub mod env;
 pub mod fleet;
 pub mod fsck;
 pub mod gc;
+mod layout;
 pub mod lineage;
 pub mod model_set;
 pub mod param_codec;

@@ -6,6 +6,7 @@
 
 use crate::approach::common;
 use crate::env::ManagementEnv;
+use crate::layout::{self, MmlibBatch, MMLIB_BASE};
 use crate::model_set::ModelSetId;
 use mmm_util::{Error, Result};
 use serde_json::Value;
@@ -23,56 +24,44 @@ pub struct LineageNode {
     pub n_changes: usize,
 }
 
+/// The set documents of `id`'s chain, from the requested set back to
+/// the full snapshot it bottoms out in, each read once.
+pub(crate) fn chain_docs(env: &ManagementEnv, id: &ModelSetId) -> Result<Vec<(u64, Value)>> {
+    let start = common::doc_id_of(id)?;
+    let walked = common::walk(env, start, |_| false, |doc| Ok(doc.clone()))?;
+    let mut nodes = walked.chain;
+    nodes.extend(walked.full.map(|doc| (walked.end, doc)));
+    Ok(nodes)
+}
+
 /// Walk a set's lineage from the requested set back to its full
 /// snapshot. The first element is the requested set; the last is the
 /// full snapshot it bottoms out in. Baseline and MMlib-base sets have a
-/// single-node lineage.
+/// single-node lineage. Costs one document read per node.
 pub fn lineage(env: &ManagementEnv, id: &ModelSetId) -> Result<Vec<LineageNode>> {
-    if id.approach == "mmlib-base" {
+    if id.approach == MMLIB_BASE {
         // Per-model storage; the set is self-contained by construction.
-        let count = id
-            .key
-            .split_once(':')
-            .and_then(|(_, c)| c.parse::<usize>().ok())
-            .ok_or_else(|| Error::invalid(format!("malformed mmlib set key {:?}", id.key)))?;
         return Ok(vec![LineageNode {
             id: id.clone(),
             kind: "full".into(),
-            n_models: count,
+            n_models: MmlibBatch::parse(&id.key)?.count,
             n_changes: 0,
         }]);
     }
-
-    let mut out = Vec::new();
-    let mut cursor = common::doc_id_of(id)?;
-    loop {
-        let doc = env.docs().get(common::SETS_COLLECTION, cursor)?;
+    let node = |(doc_id, doc): (u64, Value)| {
         let kind = doc
             .get("kind")
             .and_then(Value::as_str)
-            .ok_or_else(|| Error::corrupt("set document without kind"))?
-            .to_string();
-        let n_models = doc.get("n_models").and_then(Value::as_u64).unwrap_or(0) as usize;
-        let n_changes = doc
-            .get("n_changed_layers")
-            .or_else(|| doc.get("n_updates"))
-            .and_then(Value::as_u64)
-            .unwrap_or(0) as usize;
-        out.push(LineageNode {
-            id: ModelSetId { approach: id.approach.clone(), key: cursor.to_string() },
-            kind: kind.clone(),
-            n_models,
-            n_changes,
-        });
-        if kind == "full" {
-            return Ok(out);
-        }
-        cursor = doc
-            .get("base")
-            .and_then(Value::as_str)
-            .and_then(|s| s.parse::<u64>().ok())
-            .ok_or_else(|| Error::corrupt("derived set document without base"))?;
-    }
+            .ok_or_else(|| Error::corrupt("set document without kind"))?;
+        let n_changes = doc.get("n_changed_layers").or_else(|| doc.get("n_updates"));
+        Ok(LineageNode {
+            id: layout::set_id(&id.approach, doc_id),
+            kind: kind.to_string(),
+            n_models: doc.get("n_models").and_then(Value::as_u64).unwrap_or(0) as usize,
+            n_changes: n_changes.and_then(Value::as_u64).unwrap_or(0) as usize,
+        })
+    };
+    chain_docs(env, id)?.into_iter().map(node).collect()
 }
 
 /// The recovery depth of a set: how many derived levels sit between it
@@ -116,8 +105,14 @@ mod tests {
         let id1 = saver.save_set(&env, &s, Some(&d)).unwrap();
         assert_eq!(recovery_depth(&env, &id1).unwrap(), 1);
 
-        let chain = lineage(&env, &id1).unwrap();
+        let (chain, m) = env.measure(|| lineage(&env, &id1).unwrap());
         assert_eq!(chain.len(), 2);
+        assert_eq!(
+            m.stats.doc_queries,
+            chain.len() as u64,
+            "one document read per node"
+        );
+        assert_eq!(m.stats.total_ops(), m.stats.doc_queries, "and nothing else");
         assert_eq!(chain[0].kind, "diff");
         assert_eq!(chain[0].n_changes, 1);
         assert_eq!(chain[1].kind, "full");

@@ -53,12 +53,11 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use crate::approach::common;
+use crate::approach::{common, UpdateSaver};
 use crate::branch;
 use crate::catalog::{self, SetKind, TierBytes};
 use crate::env::ManagementEnv;
 use crate::model_set::ModelSetId;
-use crate::param_codec;
 use crate::tags;
 use mmm_util::{Error, Result};
 use serde_json::Value;
@@ -997,8 +996,7 @@ fn hash_multiset(env: &ManagementEnv, id: &ModelSetId) -> Option<HashMap<u64, u6
         return None;
     }
     let doc_id = common::doc_id_of(id).ok()?;
-    let blob = env.blobs().get(&format!("update/{doc_id}/hashes.bin")).ok()?;
-    let rows = param_codec::decode_hashes(&blob).ok()?;
+    let rows = UpdateSaver::read_hash_table(env, doc_id).ok()?;
     let mut counts: HashMap<u64, u64> = HashMap::new();
     for row in &rows {
         for &h in row {

@@ -16,7 +16,9 @@
 //! sweep).
 
 use crate::env::ManagementEnv;
+use crate::layout::SetLayout;
 use crate::model_set::ModelSetId;
+use mmm_store::{StorageTier, TieredStore};
 use mmm_util::{Error, Result};
 
 /// What one tiering sweep did.
@@ -30,9 +32,33 @@ pub struct TierReport {
     pub blobs_demoted: usize,
 }
 
-/// The blob-key prefix holding every artifact of one set.
-fn set_prefix(id: &ModelSetId) -> String {
-    format!("{}/{}", id.approach, id.key)
+/// The tiered store; on plain or CAS there is no cold tier to move to.
+fn tiered(env: &ManagementEnv) -> Result<&TieredStore> {
+    env.tiered()
+        .ok_or_else(|| Error::invalid("tiering requires the 'tiered' storage backend"))
+}
+
+/// Move every blob of set `id` that sits on tier `from` to the other
+/// tier, retrying transient faults. Returns `(blobs moved, bytes moved)`.
+fn move_set(
+    env: &ManagementEnv,
+    tiered: &TieredStore,
+    id: &ModelSetId,
+    from: StorageTier,
+) -> Result<(usize, u64)> {
+    let (mut blobs, mut bytes) = (0usize, 0u64);
+    for key in SetLayout::of(id)?.list_blobs(env)? {
+        if tiered.tier_of(&key) != Some(from) {
+            continue;
+        }
+        bytes += env.blobs().size(&key)?;
+        env.with_retry(|| match from {
+            StorageTier::Hot => tiered.demote(&key),
+            StorageTier::Cold => tiered.promote(&key),
+        })?;
+        blobs += 1;
+    }
+    Ok((blobs, bytes))
 }
 
 /// Demote every set older than the most recent `keep_hot` history
@@ -49,26 +75,13 @@ pub fn demote_old_sets(
     history: &[ModelSetId],
     keep_hot: usize,
 ) -> Result<TierReport> {
-    let tiered = env
-        .tiered()
-        .ok_or_else(|| Error::invalid("tiering requires the 'tiered' storage backend"))?;
+    let tiered = tiered(env)?;
     let mut report = TierReport::default();
-    if history.len() <= keep_hot {
-        return Ok(report);
-    }
-    for id in &history[..history.len() - keep_hot] {
-        let mut moved_any = false;
-        for key in env.blobs().list_keys(&set_prefix(id))? {
-            if tiered.tier_of(&key) != Some(mmm_store::StorageTier::Hot) {
-                continue;
-            }
-            let bytes = env.blobs().size(&key)?;
-            env.with_retry(|| tiered.demote(&key))?;
-            report.bytes_demoted += bytes;
-            report.blobs_demoted += 1;
-            moved_any = true;
-        }
-        if moved_any {
+    for id in &history[..history.len().saturating_sub(keep_hot)] {
+        let (blobs, bytes) = move_set(env, tiered, id, StorageTier::Hot)?;
+        report.blobs_demoted += blobs;
+        report.bytes_demoted += bytes;
+        if blobs > 0 {
             report.demoted.push(id.clone());
         }
     }
@@ -80,26 +93,13 @@ pub fn demote_old_sets(
 /// rollback to an old version. Blobs already hot are skipped. Returns
 /// `(blobs promoted, bytes promoted)`.
 pub fn promote_set(env: &ManagementEnv, id: &ModelSetId) -> Result<(usize, u64)> {
-    let tiered = env
-        .tiered()
-        .ok_or_else(|| Error::invalid("tiering requires the 'tiered' storage backend"))?;
-    let mut blobs = 0usize;
-    let mut bytes = 0u64;
-    for key in env.blobs().list_keys(&set_prefix(id))? {
-        if tiered.tier_of(&key) != Some(mmm_store::StorageTier::Cold) {
-            continue;
-        }
-        bytes += env.blobs().size(&key)?;
-        env.with_retry(|| tiered.promote(&key))?;
-        blobs += 1;
-    }
-    Ok((blobs, bytes))
+    move_set(env, tiered(env)?, id, StorageTier::Cold)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approach::{BaselineSaver, ModelSetSaver};
+    use crate::approach::{BaselineSaver, MmlibBaseSaver, ModelSetSaver};
     use crate::model_set::ModelSet;
     use mmm_dnn::Architectures;
     use mmm_store::{LatencyProfile, StorageBackend, StorageTier};
@@ -144,6 +144,37 @@ mod tests {
         // Re-running the sweep is a no-op.
         let again = demote_old_sets(&env, &history, 2).unwrap();
         assert_eq!(again, TierReport::default());
+
+        // An MMlib-base set is one more input: its per-model blobs move,
+        // the catalog shows them cold, and it recovers bit-identically.
+        let mut mmlib = MmlibBaseSaver::new();
+        let id = mmlib.save_initial(&env, &sets[0]).unwrap();
+        let stored = |id: &ModelSetId| {
+            let listed = crate::catalog::list_sets(&env).unwrap();
+            listed.iter().find(|s| &s.id == id).unwrap().bytes_stored
+        };
+        let bytes = stored(&id);
+        assert!(bytes.total > 0 && bytes.cold == 0, "{bytes:?}");
+        let report = demote_old_sets(&env, std::slice::from_ref(&id), 0).unwrap();
+        assert_eq!(report.demoted, vec![id.clone()]);
+        assert_eq!(
+            report.blobs_demoted,
+            3 * sets[0].len(),
+            "params, code, env per model"
+        );
+        assert_eq!(report.bytes_demoted, bytes.total);
+        assert_eq!(
+            tiered.tier_of("mmlib/m0/params.pt"),
+            Some(StorageTier::Cold)
+        );
+        assert_eq!((stored(&id).hot, stored(&id).cold), (0, bytes.total));
+        assert_eq!(mmlib.recover_set(&env, &id).unwrap(), sets[0]);
+        assert_eq!(
+            promote_set(&env, &id).unwrap(),
+            (report.blobs_demoted, bytes.total)
+        );
+        assert_eq!(stored(&id).cold, 0);
+        assert_eq!(mmlib.recover_set(&env, &id).unwrap(), sets[0]);
     }
 
     #[test]

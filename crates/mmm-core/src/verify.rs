@@ -1,18 +1,30 @@
 //! Integrity verification of saved model sets.
 //!
 //! Archived models may sit for years before a post-accident recovery —
-//! exactly when corruption must *not* surface for the first time. This
-//! module audits a saved set without mutating anything: documents parse,
-//! every blob of the recovery chain exists with a plausible size, the
-//! chain bottoms out in a full snapshot, and (for the Update approach)
-//! the persisted layer hashes match the recovered parameters.
+//! exactly when corruption must *not* surface for the first time. Two
+//! audits (`Audit`), neither of which mutates anything, say whether a
+//! saved set is intact, in [`crate::fsck`]'s damage taxonomy:
+//!
+//! - the **node audit**: every blob the `layout` module says the node owns
+//!   is structurally recoverable, and a derived node's base exists and
+//!   is committed;
+//! - the **hash audit** (Update sets): the persisted layer hashes match
+//!   the recovered parameters.
+//!
+//! [`verify_set`] runs them over the nodes of *one* set's chain, for an
+//! operator who already knows which set matters; [`crate::fsck::fsck`]
+//! runs the same two over *every* committed set and adds the store-wide
+//! classes. So the two can never disagree about a set.
+
+use std::collections::HashSet;
 
 use crate::approach::{common, ModelSetSaver, UpdateSaver};
 use crate::commit;
 use crate::env::ManagementEnv;
-use crate::lineage::lineage;
+use crate::fsck::{Damage, FsckReport};
+use crate::layout::{self, MmlibBatch, MMLIB_BASE, MODELS_COLLECTION};
+use crate::lineage::chain_docs;
 use crate::model_set::ModelSetId;
-use crate::param_codec::decode_hashes;
 use mmm_util::Result;
 use serde_json::Value;
 
@@ -36,134 +48,168 @@ impl VerifyReport {
     }
 }
 
+/// The audits [`verify_set`] and [`crate::fsck::fsck`] share: what they
+/// need to know of the store, and what they have found so far.
+pub(crate) struct Audit<'a> {
+    pub env: &'a ManagementEnv,
+    /// Every committed `(approach, key)` pair.
+    pub committed: &'a HashSet<(String, String)>,
+    /// The set documents known to exist.
+    pub set_docs: HashSet<u64>,
+    /// Blob checks made and damage found, in audit order.
+    pub found: FsckReport,
+}
+
+impl<'a> Audit<'a> {
+    /// An audit that has found nothing yet and knows of no set document.
+    pub fn new(env: &'a ManagementEnv, committed: &'a HashSet<(String, String)>) -> Self {
+        let (set_docs, found) = (HashSet::new(), FsckReport::default());
+        Audit {
+            env,
+            committed,
+            set_docs,
+            found,
+        }
+    }
+
+    /// Whether set `key` of `approach` has a commit record.
+    pub fn is_committed(&self, approach: &str, key: &str) -> bool {
+        self.committed
+            .contains(&(approach.to_string(), key.to_string()))
+    }
+
+    /// Record one more problem.
+    pub fn flag(&mut self, damage: Damage) {
+        self.found.damage.push(damage);
+    }
+
+    /// Check that each of `keys` is structurally recoverable
+    /// ([`mmm_store::BlobStore::verify_blob`]: present, and on the
+    /// content-addressed backend every chunk of its manifest too).
+    pub fn blobs(&mut self, id: &ModelSetId, keys: impl IntoIterator<Item = String>) {
+        for key in keys {
+            self.found.blobs_checked += 1;
+            if self.env.blobs().verify_blob(&key).is_err() {
+                let id = id.clone();
+                self.flag(Damage::MissingBlob { id, key });
+            }
+        }
+    }
+
+    /// The node audit of committed set document `doc_id`: the blobs its
+    /// `(approach, kind)` must have pass [`Audit::blobs`], and if it is
+    /// derived, its base is a known set document and committed.
+    pub fn node(&mut self, approach: &str, doc_id: u64, doc: &Value) {
+        let id = layout::set_id(approach, doc_id);
+        let kind = doc.get("kind").and_then(Value::as_str).unwrap_or("?");
+        self.blobs(&id, layout::node_blob_keys(approach, kind, doc_id));
+        let Some(base) = doc.get("base") else { return };
+        let detail = match base.as_str().and_then(|s| s.parse::<u64>().ok()) {
+            Some(b) if !self.set_docs.contains(&b) => format!("base document {b} is missing"),
+            Some(b) if !self.is_committed(approach, &b.to_string()) => {
+                format!("base {b} exists but was never committed")
+            }
+            Some(_) => return,
+            None => "malformed base reference".into(),
+        };
+        self.flag(Damage::DanglingChain { id, detail });
+    }
+
+    /// A committed MMlib-base batch must still have every row `exists`
+    /// finds; the ones it does not make the commit record dangle.
+    pub fn batch_rows(&mut self, batch: MmlibBatch, exists: impl Fn(u64) -> bool) {
+        let missing: Vec<u64> = batch.doc_ids().filter(|row| !exists(*row)).collect();
+        if !missing.is_empty() {
+            let detail = format!("batch rows {missing:?} are gone");
+            let id = batch.id();
+            self.flag(Damage::DanglingCommit { id, detail });
+        }
+    }
+
+    /// The hash audit of Update set `id`: recover it, recompute every
+    /// layer hash and compare with the persisted table — this catches
+    /// silent bit corruption of the parameter payloads themselves,
+    /// anywhere along the chain. Returns whether the comparison ran.
+    pub fn hashes(&mut self, id: &ModelSetId) -> bool {
+        let mismatches = self.rehash(id);
+        let ran = mismatches.is_ok();
+        for detail in mismatches.unwrap_or_else(|unreadable| vec![unreadable]) {
+            let id = id.clone();
+            self.flag(Damage::HashMismatch { id, detail });
+        }
+        ran
+    }
+
+    /// One line per model whose recovered parameters disagree with the
+    /// stored hash table; `Err` says why the two could not be compared.
+    fn rehash(&self, id: &ModelSetId) -> std::result::Result<Vec<String>, String> {
+        let set = UpdateSaver::new().recover_set(self.env, id);
+        let set = set.map_err(|e| format!("recovery failed: {e}"))?;
+        let read = |doc_id| UpdateSaver::read_hash_table(self.env, doc_id);
+        let stored = common::doc_id_of(id).and_then(read);
+        let stored = stored.map_err(|e| format!("hash table unreadable: {e}"))?;
+        let mut out = Vec::new();
+        for (mi, model) in set.models().iter().enumerate() {
+            if stored.get(mi) != Some(&model.layer_hashes()) {
+                out.push(format!(
+                    "model {mi}: recovered params disagree with stored hashes"
+                ));
+            }
+        }
+        Ok(out)
+    }
+}
+
 /// Verify one saved set's integrity. Never mutates the stores.
 pub fn verify_set(env: &ManagementEnv, id: &ModelSetId) -> Result<VerifyReport> {
     let mut report = VerifyReport::default();
 
     // A set without a commit record is crash debris: readers already
-    // treat it as absent, so flag it rather than auditing artifacts
+    // treat it as absent, so flag it rather than trusting artifacts
     // that were never promised to be complete.
-    if !commit::is_committed(env, id)? {
+    let committed = commit::committed_ids(env)?;
+    let mut audit = Audit::new(env, &committed);
+    if !audit.is_committed(&id.approach, &id.key) {
         report
             .issues
             .push(format!("set {id} has no commit record (save never completed)"));
     }
 
-    if id.approach == "mmlib-base" {
-        verify_mmlib(env, id, &mut report);
-        return Ok(report);
-    }
-
-    // Walk the chain (lineage() itself validates the doc structure).
-    let chain = match lineage(env, id) {
-        Ok(c) => c,
-        Err(e) => {
-            report.issues.push(format!("lineage walk failed: {e}"));
-            return Ok(report);
+    if id.approach == MMLIB_BASE {
+        // Per-model storage: one node, a document and three blobs a row.
+        match MmlibBatch::parse(&id.key) {
+            Ok(batch) => {
+                report.docs_checked = batch.count;
+                audit.batch_rows(batch, |row| env.docs().get(MODELS_COLLECTION, row).is_ok());
+                audit.blobs(id, batch.blob_keys());
+            }
+            Err(e) => report.issues.push(e.to_string()),
         }
-    };
-    report.docs_checked = chain.len();
-
-    if chain.last().map(|n| n.kind.as_str()) != Some("full") {
-        report.issues.push("chain does not bottom out in a full snapshot".into());
-    }
-
-    for node in &chain {
-        let doc_id = match node.id.key.parse::<u64>() {
-            Ok(d) => d,
-            Err(_) => {
-                report.issues.push(format!("malformed key {:?}", node.id.key));
-                continue;
-            }
-        };
-        let expected_blobs: Vec<String> = match (id.approach.as_str(), node.kind.as_str()) {
-            ("baseline", "full") => vec![common::params_key("baseline", doc_id)],
-            ("provenance", "full") => vec![common::params_key("provenance", doc_id)],
-            ("provenance", "prov") => vec![format!("provenance/{doc_id}/updates.jsonl")],
-            ("update", "full") => vec![
-                common::params_key("update", doc_id),
-                format!("update/{doc_id}/hashes.bin"),
-            ],
-            ("update", "diff" | "diffz") => vec![
-                format!("update/{doc_id}/diff.bin"),
-                format!("update/{doc_id}/hashes.bin"),
-            ],
-            (a, k) => {
-                report.issues.push(format!("unexpected approach/kind ({a}, {k})"));
-                continue;
-            }
-        };
-        for key in expected_blobs {
-            report.blobs_checked += 1;
-            match env.blobs().size(&key) {
-                Ok(_) => {}
-                Err(e) => report.issues.push(format!("blob {key}: {e}")),
-            }
-        }
-    }
-
-    // For Update sets: recompute layer hashes of the recovered parameters
-    // and compare against the persisted hash table — this catches silent
-    // bit corruption of the parameter payloads themselves.
-    if id.approach == "update" && report.issues.is_empty() {
-        let saver = UpdateSaver::new();
-        match saver.recover_set(env, id) {
-            Ok(set) => {
-                let doc_id = common::doc_id_of(id)?;
-                match env
-                    .blobs()
-                    .get(&format!("update/{doc_id}/hashes.bin"))
-                    .and_then(|b| decode_hashes(&b))
-                {
-                    Ok(stored) => {
-                        report.hashes_checked = true;
-                        for (mi, model) in set.models().iter().enumerate() {
-                            let fresh = model.layer_hashes();
-                            if stored.get(mi) != Some(&fresh) {
-                                report
-                                    .issues
-                                    .push(format!("model {mi}: recovered params do not match stored hashes"));
-                            }
-                        }
-                    }
-                    Err(e) => report.issues.push(format!("hash table unreadable: {e}")),
+    } else {
+        match chain_docs(env, id) {
+            Ok(nodes) => {
+                report.docs_checked = nodes.len();
+                audit.set_docs = nodes.iter().map(|(doc_id, _)| *doc_id).collect();
+                for (doc_id, doc) in &nodes {
+                    audit.node(&id.approach, *doc_id, doc);
                 }
             }
-            Err(e) => report.issues.push(format!("recovery failed: {e}")),
+            Err(e) => {
+                let detail = format!("chain walk failed: {e}");
+                let id = id.clone();
+                audit.flag(Damage::DanglingChain { id, detail });
+            }
         }
     }
 
+    if id.approach == "update" && report.issues.is_empty() && audit.found.is_clean() {
+        report.hashes_checked = audit.hashes(id);
+    }
+    report.blobs_checked = audit.found.blobs_checked;
+    report
+        .issues
+        .extend(audit.found.damage.iter().map(Damage::describe));
     Ok(report)
-}
-
-fn verify_mmlib(env: &ManagementEnv, id: &ModelSetId, report: &mut VerifyReport) {
-    let Some((first, count)) = id
-        .key
-        .split_once(':')
-        .and_then(|(a, b)| Some((a.parse::<u64>().ok()?, b.parse::<usize>().ok()?)))
-    else {
-        report.issues.push(format!("malformed mmlib key {:?}", id.key));
-        return;
-    };
-    for i in 0..count {
-        let doc_id = first + i as u64;
-        report.docs_checked += 1;
-        match env.docs().get("models", doc_id) {
-            Ok(doc) => {
-                if doc.get("arch").and_then(Value::as_object).is_none() {
-                    report.issues.push(format!("model doc {doc_id} lacks arch"));
-                }
-            }
-            Err(e) => report.issues.push(format!("model doc {doc_id}: {e}")),
-        }
-        for artifact in ["params.pt", "code.py", "environment.yaml"] {
-            report.blobs_checked += 1;
-            let key = format!("mmlib/m{doc_id}/{artifact}");
-            if env.blobs().size(&key).is_err() {
-                report.issues.push(format!("missing blob {key}"));
-            }
-        }
-    }
 }
 
 #[cfg(test)]

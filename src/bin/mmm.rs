@@ -730,17 +730,22 @@ fn cmd_fsck(a: &Args) -> Result<()> {
             report.damage.len()
         )));
     }
-    let fixed = fsck::repair(&env, &report)?;
+    // Destructured without `..`, so a new field cannot go unprinted.
+    let fsck::RepairReport {
+        uncommitted_docs_deleted,
+        uncommitted_blobs_deleted,
+        orphan_blobs_deleted,
+        orphan_chunks_deleted,
+        dangling_commits_removed,
+        sets_quarantined,
+        branches_quarantined,
+    } = fsck::repair(&env, &report)?;
     println!(
-        "repair: {} uncommitted doc(s) and {} uncommitted blob(s) collected, \
-         {} orphan blob(s) and {} orphan chunk(s) deleted, \
-         {} dangling commit(s) removed, {} set(s) quarantined",
-        fixed.uncommitted_docs_deleted,
-        fixed.uncommitted_blobs_deleted,
-        fixed.orphan_blobs_deleted,
-        fixed.orphan_chunks_deleted,
-        fixed.dangling_commits_removed,
-        fixed.sets_quarantined
+        "repair: {uncommitted_docs_deleted} uncommitted doc(s) and \
+         {uncommitted_blobs_deleted} uncommitted blob(s) collected, \
+         {orphan_blobs_deleted} orphan blob(s) and {orphan_chunks_deleted} orphan chunk(s) deleted, \
+         {dangling_commits_removed} dangling commit(s) removed, \
+         {sets_quarantined} set(s) and {branches_quarantined} branch(es) quarantined"
     );
     let after = fsck::fsck(&env)?;
     if after.is_clean() {
