@@ -954,9 +954,10 @@ fn query_bench(args: &Args) {
     use serde_json::json;
 
     println!("=== extension: query latency vs fleet size — one read path over the lake ===");
-    println!("seeds n committed update-chain sets (chains of 10, every 100th tagged prod,");
-    println!("layer-hash tables arranged so similarity to set 0 is i%9/8), then times five");
-    println!("representative queries; counts and scan sizes are deterministic in n\n");
+    println!("seeds n committed update-chain sets (chains of 10; every 100th, a chain root,");
+    println!("tagged prod and the set before it, nine levels up its chain, tagged tip;");
+    println!("layer-hash tables arranged so similarity to set 0 is i%9/8), then times six");
+    println!("representative queries; counts, scan sizes and charged ops are deterministic in n\n");
 
     let max_n = args.models.unwrap_or(100_000);
     let mut sweep: Vec<usize> =
@@ -965,9 +966,19 @@ fn query_bench(args: &Args) {
     let trials = args.trials.max(1);
 
     println!(
-        "{:<10}{:>9}{:>9}{:>10}{:>9}{:>10}{:>9}{:>9}{:>10}{:>9}",
-        "models", "true ms", "pred ms", "pred hit", "tag ms", "tag scan", "depth ms",
-        "sim ms", "sim hit", "seed s"
+        "{:<10}{:>9}{:>9}{:>10}{:>9}{:>10}{:>9}{:>9}{:>9}{:>9}{:>10}{:>9}",
+        "models",
+        "true ms",
+        "pred ms",
+        "pred hit",
+        "tag ms",
+        "tag scan",
+        "tip ms",
+        "tip ops",
+        "depth ms",
+        "sim ms",
+        "sim hit",
+        "seed s"
     );
 
     let mut rows = Vec::new();
@@ -977,10 +988,11 @@ fn query_bench(args: &Args) {
 
         // Seed n sets as committed update-approach catalog rows: chains
         // of 10 linked through `base` (head kind full, rest diff),
-        // n_models cycling 4..=16, every 100th set tagged `prod`, and a
-        // per-set layer-hash blob whose overlap with set 0 is exactly
-        // (i % 9) of 8 layers — so every query below has a count that is
-        // a pure function of n.
+        // n_models cycling 4..=16, every 100th set (a chain root) tagged
+        // `prod` and the set before it (the far end of a chain, nine
+        // levels above its root) tagged `tip`, and a per-set layer-hash
+        // blob whose overlap with set 0 is exactly (i % 9) of 8 layers —
+        // so every query below has a count that is a pure function of n.
         let seed_t0 = Instant::now();
         let mut first_key = String::new();
         let mut prev_key = String::new();
@@ -1014,6 +1026,9 @@ fn query_bench(args: &Args) {
             if i % 100 == 0 {
                 tags::tag_set(&env, &id, "prod").expect("tag");
             }
+            if i % 100 == 99 {
+                tags::tag_set(&env, &id, "tip").expect("tag");
+            }
             if i == 0 {
                 first_key = key.clone();
             }
@@ -1021,35 +1036,46 @@ fn query_bench(args: &Args) {
         }
         let seed_s = seed_t0.elapsed().as_secs_f64();
 
+        // Wall time is the best of the trials; the charged store
+        // operations and bytes are the same in every trial.
         let time_query = |expr: &str| {
             let mut best_ms = f64::INFINITY;
-            let (mut count, mut scanned) = (0usize, 0usize);
+            let mut last = None;
             for _ in 0..trials {
                 let t0 = Instant::now();
-                let out = query::run(&env, expr).expect("query");
+                let (out, m) = env.measure(|| query::run(&env, expr).expect("query"));
                 best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-                count = out.records.len();
-                scanned = out.scanned;
+                last = Some((out.records.len(), out.scanned, m.stats));
             }
-            (best_ms, count, scanned)
+            let (count, scanned, stats) = last.expect("at least one trial");
+            (best_ms, count, scanned, stats)
         };
 
-        let (ms_true, count_true, scan_true) = time_query("true");
+        let similar = format!("similar-to(update:{first_key}, 0.5)");
+        let (ms_true, count_true, scan_true, cost_true) = time_query("true");
         assert_eq!(count_true, n, "`true` must return the whole committed lake");
-        let (ms_pred, count_pred, _) = time_query("kind = \"diff\" and n_models >= 10");
-        let (ms_tag, count_tag, scan_tag) = time_query("tag:prod");
+        let (ms_pred, count_pred, _, cost_pred) = time_query("kind = \"diff\" and n_models >= 10");
+        let (ms_tag, count_tag, scan_tag, cost_tag) = time_query("tag:prod");
         assert_eq!(count_tag, n.div_ceil(100), "every 100th set is tagged");
         assert_eq!(scan_tag, count_tag, "the tag probe must narrow the scan to the index hits");
-        let (ms_depth, count_depth, _) = time_query("depth >= 5");
-        let (ms_sim, count_sim, _) =
-            time_query(&format!("similar-to(update:{first_key}, 0.5)"));
+        // The same number of hits, each nine chain levels deep: what
+        // resolving lineage costs a probe.
+        let (ms_tip, count_tip, scan_tip, cost_tip) = time_query("tag:tip");
+        assert_eq!(
+            (count_tip, scan_tip),
+            (n / 100, n / 100),
+            "every 100th set is a tagged tip"
+        );
+        let (ms_depth, count_depth, _, cost_depth) = time_query("depth >= 5");
+        let (ms_sim, count_sim, _, cost_sim) = time_query(&similar);
 
         println!(
             "{n:<10}{ms_true:>9.2}{ms_pred:>9.2}{count_pred:>10}{ms_tag:>9.3}{scan_tag:>10}\
-             {ms_depth:>9.2}{ms_sim:>9.2}{count_sim:>10}{seed_s:>9.1}"
+             {ms_tip:>9.3}{:>9}{ms_depth:>9.2}{ms_sim:>9.2}{count_sim:>10}{seed_s:>9.1}",
+            cost_tip.total_ops()
         );
 
-        rows.push(json!({
+        let mut row = json!({
             "n": n,
             "count_true": count_true,
             "scan_true": scan_true,
@@ -1059,12 +1085,28 @@ fn query_bench(args: &Args) {
             "count_tag": count_tag,
             "scan_tag": scan_tag,
             "ms_tag": ms_tag,
+            "count_tip": count_tip,
+            "ms_tip": ms_tip,
             "count_depth": count_depth,
             "ms_depth": ms_depth,
             "count_sim": count_sim,
             "ms_sim": ms_sim,
             "seed_wall_s": seed_s,
-        }));
+        });
+        let costs = [
+            ("true", cost_true),
+            ("pred", cost_pred),
+            ("tag", cost_tag),
+            ("tip", cost_tip),
+            ("depth", cost_depth),
+            ("sim", cost_sim),
+        ];
+        let fields = row.as_object_mut().expect("a json object");
+        for (query, cost) in costs {
+            fields.insert(format!("ops_{query}"), json!(cost.total_ops()));
+            fields.insert(format!("bytes_{query}"), json!(cost.bytes_read));
+        }
+        rows.push(row);
     }
 
     let report = json!({
@@ -1079,7 +1121,8 @@ fn query_bench(args: &Args) {
         .expect("write BENCH_query.json");
     eprintln!("  wrote {}", path.display());
     println!("\n(`tag scan` stays at n/100 while models grows: the planner serves tag:");
-    println!(" queries from the tag index instead of scanning the whole catalog)");
+    println!(" queries from the tag index instead of scanning the whole catalog; `tip ops`");
+    println!(" is the probe's 5 round-trips plus one per chain level plus one commit lookup)");
 }
 
 /// Breakdown-baseline scenario shape: small enough for CI, non-zero

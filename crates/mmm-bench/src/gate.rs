@@ -337,8 +337,9 @@ pub fn gate_breakdown(baseline: &Value, candidate: &Value, tol: &Tolerances) -> 
 /// Compare a candidate `BENCH_query.json` against the baseline.
 ///
 /// The query bench seeds its population deterministically from the
-/// row's `n`, so match counts and scan sizes compare exactly (a count
-/// drift means the engine changed semantics, not the machine); query
+/// row's `n`, so match counts, scan sizes and the charged store
+/// operations and bytes of every query compare exactly (a drift means
+/// the engine changed what it does, not the machine); query
 /// wall-clock latencies get the same generous machine-variance factor
 /// as service throughput.
 pub fn gate_query(baseline: &Value, candidate: &Value, tol: &Tolerances) -> GateReport {
@@ -365,8 +366,21 @@ pub fn gate_query(baseline: &Value, candidate: &Value, tol: &Tolerances) -> Gate
             "count_pred",
             "count_tag",
             "scan_tag",
+            "count_tip",
             "count_depth",
             "count_sim",
+            "ops_true",
+            "bytes_true",
+            "ops_pred",
+            "bytes_pred",
+            "ops_tag",
+            "bytes_tag",
+            "ops_tip",
+            "bytes_tip",
+            "ops_depth",
+            "bytes_depth",
+            "ops_sim",
+            "bytes_sim",
         ] {
             out.push(
                 name(key),
@@ -374,7 +388,9 @@ pub fn gate_query(baseline: &Value, candidate: &Value, tol: &Tolerances) -> Gate
                 format!("{} vs {}", u(b, key), u(c, key)),
             );
         }
-        for key in ["ms_true", "ms_pred", "ms_tag", "ms_depth", "ms_sim"] {
+        for key in [
+            "ms_true", "ms_pred", "ms_tag", "ms_tip", "ms_depth", "ms_sim",
+        ] {
             let (bm, cm) = (f(b, key), f(c, key));
             out.push(
                 name(key),
@@ -541,7 +557,14 @@ mod tests {
     }
 
     fn query_doc(count_true: u64, scan_tag: u64, ms_true: f64) -> Value {
+        query_doc_costing(count_true, scan_tag, ms_true, 900)
+    }
+
+    fn query_doc_costing(count_true: u64, scan_tag: u64, ms_true: f64, bytes_tag: u64) -> Value {
         doc(vec![json!({
+            "ops_true": 7,
+            "ops_tag": 5,
+            "bytes_tag": bytes_tag,
             "n": 1000,
             "count_true": count_true,
             "scan_true": count_true,
@@ -551,6 +574,9 @@ mod tests {
             "count_tag": 10,
             "scan_tag": scan_tag,
             "ms_tag": 0.1,
+            "count_tip": 10,
+            "ops_tip": 15,
+            "ms_tip": 0.2,
             "count_depth": 500,
             "ms_depth": 1.2,
             "count_sim": 120,
@@ -572,6 +598,12 @@ mod tests {
         assert!(
             r.failures().iter().any(|c| c.name.contains("scan_tag")),
             "a tag probe that stops narrowing the scan must fail: {}",
+            r.render()
+        );
+        let r = gate_query(&base, &query_doc_costing(1000, 10, 2.0, 901), &tol);
+        assert!(
+            r.failures().iter().any(|c| c.name.contains("bytes_tag")),
+            "a probe that transfers one byte more must fail: {}",
             r.render()
         );
         let r = gate_query(&base, &query_doc(1000, 10, 2.0 * tol.throughput_factor + 1.0), &tol);

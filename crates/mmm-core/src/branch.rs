@@ -110,13 +110,18 @@ fn parse_branch_doc(doc_id: u64, doc: &Value) -> Result<Branch> {
 /// left by a crash mid-advance (harmless; cleaned up on the next
 /// advance or delete).
 pub fn branches(env: &ManagementEnv) -> Result<Vec<Branch>> {
-    let committed = commit::committed_ids(env)?;
+    let docs = env.docs().all(BRANCHES_COLLECTION)?;
+    let heads: Vec<ModelSetId> = docs
+        .iter()
+        .map(|(doc_id, _)| branch_commit_id(*doc_id))
+        .collect();
+    let committed = commit::committed_among(env, &heads)?;
     let mut latest: BTreeMap<String, Branch> = BTreeMap::new();
-    for (doc_id, doc) in env.docs().all(BRANCHES_COLLECTION)? {
-        if !committed.contains(&(BRANCH_APPROACH.to_string(), doc_id.to_string())) {
+    for ((doc_id, doc), head) in docs.iter().zip(heads) {
+        if !committed.contains(&(head.approach, head.key)) {
             continue;
         }
-        let b = parse_branch_doc(doc_id, &doc)?;
+        let b = parse_branch_doc(*doc_id, doc)?;
         match latest.get(&b.name) {
             Some(cur) if cur.doc_id >= b.doc_id => {}
             _ => {

@@ -5,12 +5,13 @@
 //! reads metadata documents plus blob sizes (for the per-tier storage
 //! breakdown) — it never touches parameter payload bytes.
 
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
 use crate::approach::common;
 use crate::commit;
 use crate::env::ManagementEnv;
-use crate::layout::{self, SetLayout, MMLIB_BASE, MODELS_COLLECTION};
+use crate::layout::{self, MmlibBatch, SetLayout, MMLIB_BASE, MODELS_COLLECTION};
 use crate::model_set::ModelSetId;
 use mmm_store::StorageTier;
 use mmm_util::Result;
@@ -98,22 +99,66 @@ pub struct SetSummary {
     pub bytes_stored: TierBytes,
 }
 
-/// Sum the sizes of the blobs set `id` owns, attributing each key to
-/// its tier. Best-effort: a set whose blobs fail to list, or a key that
-/// fails to stat (deleted mid-walk, or a fault-injection hiccup),
-/// contributes zero instead of failing the whole catalog listing.
-fn tier_bytes(env: &ManagementEnv, id: &ModelSetId) -> TierBytes {
+/// Sum the sizes of the blobs `keys`, attributing each to its tier.
+/// Best-effort: a key that fails to stat (deleted mid-walk, or a
+/// fault-injection hiccup) contributes zero instead of failing the
+/// whole catalog listing.
+fn tier_bytes<'k>(env: &ManagementEnv, keys: impl IntoIterator<Item = &'k String>) -> TierBytes {
     let mut out = TierBytes::default();
-    let keys = SetLayout::of(id).and_then(|layout| layout.list_blobs(env));
-    for key in keys.unwrap_or_default() {
-        let sz = env.blobs().size(&key).unwrap_or(0);
+    for key in keys {
+        let sz = env.blobs().size(key).unwrap_or(0);
         out.total += sz;
-        match env.tiered().and_then(|t| t.tier_of(&key)) {
+        match env.tiered().and_then(|t| t.tier_of(key)) {
             Some(StorageTier::Cold) => out.cold += sz,
             _ => out.hot += sz,
         }
     }
     out
+}
+
+/// The approaches that keep one document per set in
+/// [`common::SETS_COLLECTION`].
+const SET_APPROACHES: [&str; 3] = ["baseline", "update", "provenance"];
+
+/// The base set's key, for a derived set's document.
+pub(crate) fn base_of(doc: &Value) -> Option<String> {
+    doc.get("base").and_then(Value::as_str).map(String::from)
+}
+
+/// The catalogue row of a set-oriented set, from its document.
+fn set_row(id: ModelSetId, doc: &Value, bytes_stored: TierBytes) -> SetSummary {
+    SetSummary {
+        id,
+        kind: doc
+            .get("kind")
+            .and_then(Value::as_str)
+            .map(SetKind::parse)
+            .unwrap_or(SetKind::Unknown),
+        n_models: doc.get("n_models").and_then(Value::as_u64).unwrap_or(0) as usize,
+        base: base_of(doc),
+        branch: doc.get("branch").and_then(Value::as_str).map(String::from),
+        bytes_stored,
+    }
+}
+
+/// The catalogue row of an MMlib-base save batch.
+fn batch_row(batch: MmlibBatch, bytes_stored: TierBytes) -> SetSummary {
+    SetSummary {
+        id: batch.id(),
+        kind: SetKind::Full,
+        n_models: batch.count,
+        base: None,
+        branch: None,
+        bytes_stored,
+    }
+}
+
+/// The catalogue's order: by approach, then key, both as strings.
+fn sort_rows(rows: &mut [SetSummary]) {
+    rows.sort_by(|a, b| {
+        (a.id.approach.as_str(), a.id.key.as_str())
+            .cmp(&(b.id.approach.as_str(), b.id.key.as_str()))
+    });
 }
 
 /// List all archived sets: the set-oriented approaches' documents plus
@@ -124,29 +169,25 @@ fn tier_bytes(env: &ManagementEnv, id: &ModelSetId) -> TierBytes {
 pub fn list_sets(env: &ManagementEnv) -> Result<Vec<SetSummary>> {
     let mut out = Vec::new();
     let committed = commit::committed_ids(env)?;
+    // Blob sizes come from one walk of an approach's directory, made
+    // when its first row is listed; a listing that fails counts as no
+    // blobs (best-effort, as above).
+    let blobs_of = |approach: &str| layout::blobs_by_dir(env, approach).unwrap_or_default();
 
     // Set-oriented approaches: one document per set.
-    for approach in ["baseline", "update", "provenance"] {
+    for approach in SET_APPROACHES {
         let docs = env
             .docs()
             .find_eq(common::SETS_COLLECTION, "approach", &Value::String(approach.into()))?;
+        let mut blobs = None;
         for (doc_id, doc) in docs {
             if !committed.contains(&(approach.to_string(), doc_id.to_string())) {
                 continue;
             }
-            let id = layout::set_id(approach, doc_id);
-            out.push(SetSummary {
-                bytes_stored: tier_bytes(env, &id),
-                id,
-                kind: doc
-                    .get("kind")
-                    .and_then(Value::as_str)
-                    .map(SetKind::parse)
-                    .unwrap_or(SetKind::Unknown),
-                n_models: doc.get("n_models").and_then(Value::as_u64).unwrap_or(0) as usize,
-                base: doc.get("base").and_then(Value::as_str).map(String::from),
-                branch: doc.get("branch").and_then(Value::as_str).map(String::from),
-            });
+            let blobs = blobs.get_or_insert_with(|| blobs_of(approach));
+            let keys = blobs.get(&layout::doc_dir(approach, doc_id));
+            let bytes = tier_bytes(env, keys.into_iter().flatten());
+            out.push(set_row(layout::set_id(approach, doc_id), &doc, bytes));
         }
     }
 
@@ -154,20 +195,91 @@ pub fn list_sets(env: &ManagementEnv) -> Result<Vec<SetSummary>> {
     // batches; rows no commit record covers are invisible debris.
     let mmlib = Value::String(MMLIB_BASE.into());
     let mmlib_docs = env.docs().find_eq(MODELS_COLLECTION, "approach", &mmlib)?;
+    let mut blobs = None;
     let runs = layout::mmlib_batches(&mmlib_docs, &committed);
     for batch in runs.into_iter().filter_map(|(batch, _debris)| batch) {
-        let id = batch.id();
-        out.push(SetSummary {
-            bytes_stored: tier_bytes(env, &id),
-            id,
-            kind: SetKind::Full,
-            n_models: batch.count,
-            base: None,
-            branch: None,
-        });
+        let blobs = blobs.get_or_insert_with(|| blobs_of(MMLIB_BASE));
+        let dirs = batch.doc_ids().map(|row| layout::doc_dir(MMLIB_BASE, row));
+        let keys = dirs.filter_map(|dir| blobs.get(&dir)).flatten();
+        out.push(batch_row(batch, tier_bytes(env, keys)));
     }
 
-    out.sort_by(|a, b| (a.id.approach.as_str(), a.id.key.as_str()).cmp(&(b.id.approach.as_str(), b.id.key.as_str())));
+    sort_rows(&mut out);
+    Ok(out)
+}
+
+/// The documents of those of `pairs` that name a set-oriented set,
+/// fetched by id in one find, whatever the lake holds. As in
+/// [`list_sets`], a pair counts only under the approach its document
+/// names and only under the document id's canonical spelling; whether
+/// it is committed is the caller's question.
+pub(crate) fn set_docs(
+    env: &ManagementEnv,
+    pairs: &HashSet<(String, String)>,
+) -> Result<Vec<(ModelSetId, Value)>> {
+    let of_sets = |(approach, _): &&(String, String)| SET_APPROACHES.contains(&approach.as_str());
+    let doc_ids: BTreeSet<u64> = pairs
+        .iter()
+        .filter(of_sets)
+        .filter_map(|(_, key)| key.parse().ok())
+        .collect();
+    if doc_ids.is_empty() {
+        return Ok(Vec::new());
+    }
+    let doc_ids: Vec<u64> = doc_ids.into_iter().collect();
+    let docs = env.docs().get_many(common::SETS_COLLECTION, &doc_ids)?;
+    let asked = |(doc_id, doc): (u64, Value)| {
+        let approach = doc.get("approach").and_then(Value::as_str)?;
+        let id = layout::set_id(approach, doc_id);
+        let pair = (id.approach.clone(), id.key.clone());
+        (SET_APPROACHES.contains(&approach) && pairs.contains(&pair)).then_some((id, doc))
+    };
+    Ok(docs.into_iter().filter_map(asked).collect())
+}
+
+/// The rows [`list_sets`] would list for `ids`, in its order, at a cost
+/// that follows `ids` and not the lake: one commit lookup, one fetch by
+/// id per collection, and blob stats of these rows only. An id the
+/// listing would not show (uncommitted, deleted, a branch head) has no
+/// row.
+pub(crate) fn sets_by_id<'a>(
+    env: &ManagementEnv,
+    ids: impl IntoIterator<Item = &'a ModelSetId>,
+) -> Result<Vec<SetSummary>> {
+    let committed = commit::committed_among(env, ids)?;
+    let stat = |id: &ModelSetId| {
+        let keys = SetLayout::of(id).and_then(|layout| layout.list_blobs(env));
+        tier_bytes(env, &keys.unwrap_or_default())
+    };
+    let mut out = Vec::new();
+    for (id, doc) in set_docs(env, &committed)? {
+        let bytes = stat(&id);
+        out.push(set_row(id, &doc, bytes));
+    }
+
+    // MMlib-base: the rows of the committed batches' own id ranges,
+    // regrouped by the rule the listing uses. A range wider than the
+    // collection cannot be whole, so it is never materialised.
+    let n_rows = env.docs().count(MODELS_COLLECTION);
+    let row_ids: BTreeSet<u64> = committed
+        .iter()
+        .filter(|(approach, _)| approach == MMLIB_BASE)
+        .filter_map(|(_, key)| MmlibBatch::parse(key).ok())
+        .filter(|batch| batch.count <= n_rows)
+        .flat_map(|batch| batch.doc_ids())
+        .collect();
+    if !row_ids.is_empty() {
+        let row_ids: Vec<u64> = row_ids.into_iter().collect();
+        let mut rows = env.docs().get_many(MODELS_COLLECTION, &row_ids)?;
+        rows.retain(|(_, doc)| doc.get("approach").and_then(Value::as_str) == Some(MMLIB_BASE));
+        let runs = layout::mmlib_batches(&rows, &committed);
+        for batch in runs.into_iter().filter_map(|(batch, _debris)| batch) {
+            let bytes = stat(&batch.id());
+            out.push(batch_row(batch, bytes));
+        }
+    }
+
+    sort_rows(&mut out);
     Ok(out)
 }
 

@@ -25,8 +25,21 @@
 //!   members commit all-or-nothing: a torn batch append is discarded
 //!   whole on replay and none of its members become visible.
 //!
-//! Every reader here ([`is_committed`], [`committed_ids`],
-//! [`decommit`]) understands both shapes.
+//! Every reader here ([`is_committed`], [`committed_among`],
+//! [`committed_ids`], [`decommit`]) understands both shapes.
+//!
+//! # The pair index
+//!
+//! Only [`committed_ids`], whose callers need every pair, walks the
+//! log. The document store keeps a secondary index over this collection
+//! ([`declare_index`], declared when the environment opens) that files
+//! every record under each pair [`record_pairs`] reads from it, and the
+//! other readers look their ids up there. The store updates it in the
+//! critical section that updates the collection itself and rebuilds it
+//! from the replayed log at open, so it is the log, read another way:
+//! nothing of it is persisted, and whoever appends a record —
+//! [`commit_save`], a group-commit batch, a test inserting straight
+//! into the collection — has indexed it.
 
 use std::collections::HashSet;
 
@@ -34,10 +47,31 @@ use serde_json::{json, Value};
 
 use crate::env::ManagementEnv;
 use crate::model_set::ModelSetId;
+use mmm_store::DocumentStore;
 use mmm_util::{Error, Result};
 
 /// Collection holding one record per committed model-set save.
 pub const COMMITS_COLLECTION: &str = "commits";
+
+/// Name of the store-maintained index from `(approach, set)` pair to
+/// the commit records covering it.
+const PAIR_INDEX: &str = "pair";
+
+/// Index key of one pair. The approach's length goes first, so no two
+/// pairs share a key whatever characters their parts contain.
+fn pair_key(approach: &str, set: &str) -> String {
+    format!("{}:{approach}{set}", approach.len())
+}
+
+/// Declare the pair index on `docs` (once, when the environment opens).
+pub(crate) fn declare_index(docs: &DocumentStore) {
+    docs.create_keyed_index(COMMITS_COLLECTION, PAIR_INDEX, |doc| {
+        record_pairs(doc)
+            .iter()
+            .map(|(a, s)| pair_key(a, s))
+            .collect()
+    });
+}
 
 /// The `(approach, set)` pairs one commit record covers: one for the
 /// single-record format, several for a batched group commit. Malformed
@@ -111,15 +145,34 @@ pub fn commit_save(env: &ManagementEnv, id: &ModelSetId) -> Result<u64> {
 /// Whether `id`'s save was committed (in a single or batched record).
 /// Charged as one `doc_query`.
 pub fn is_committed(env: &ManagementEnv, id: &ModelSetId) -> Result<bool> {
-    for (_, doc) in env.docs().all(COMMITS_COLLECTION)? {
-        if record_pairs(&doc)
-            .iter()
-            .any(|(a, s)| a == &id.approach && s == &id.key)
-        {
-            return Ok(true);
-        }
+    Ok(!committed_among(env, [id])?.is_empty())
+}
+
+/// The pairs among `ids` whose save was committed: the batched
+/// [`is_committed`]. One index lookup, charged as one `doc_query` for
+/// any number of ids and the bytes of the records that cover them
+/// (asking about no id asks the store nothing).
+pub fn committed_among<'a>(
+    env: &ManagementEnv,
+    ids: impl IntoIterator<Item = &'a ModelSetId>,
+) -> Result<HashSet<(String, String)>> {
+    let keys: Vec<String> = ids
+        .into_iter()
+        .map(|id| pair_key(&id.approach, &id.key))
+        .collect();
+    if keys.is_empty() {
+        return Ok(HashSet::new());
     }
-    Ok(false)
+    let asked: HashSet<&String> = keys.iter().collect();
+    let records = env
+        .docs()
+        .find_by_key(COMMITS_COLLECTION, PAIR_INDEX, &keys)?;
+    // A batched record also covers pairs nobody asked about.
+    Ok(records
+        .iter()
+        .flat_map(|(_, doc)| record_pairs(doc))
+        .filter(|(a, s)| asked.contains(&pair_key(a, s)))
+        .collect())
 }
 
 /// The readers' gate: error with `NotFound` unless `id` was committed.
@@ -137,7 +190,8 @@ pub fn require_committed(env: &ManagementEnv, id: &ModelSetId) -> Result<()> {
 }
 
 /// All committed `(approach, set-key)` pairs. Charged as one
-/// `doc_query` — used by catalog listings and fsck scans.
+/// `doc_query` over the whole collection — used by catalog listings and
+/// fsck scans, which need every pair, and by nothing on a request path.
 pub fn committed_ids(env: &ManagementEnv) -> Result<HashSet<(String, String)>> {
     let mut out = HashSet::new();
     for (_, doc) in env.docs().all(COMMITS_COLLECTION)? {
@@ -157,18 +211,18 @@ pub fn committed_ids(env: &ManagementEnv) -> Result<HashSet<(String, String)>> {
 /// is set-semantics) but can never lose a commit.
 pub fn decommit(env: &ManagementEnv, id: &ModelSetId) -> Result<usize> {
     let mut removed = 0;
-    for (doc_id, doc) in env.docs().all(COMMITS_COLLECTION)? {
+    let key = [pair_key(&id.approach, &id.key)];
+    for (doc_id, doc) in env
+        .docs()
+        .find_by_key(COMMITS_COLLECTION, PAIR_INDEX, &key)?
+    {
         let pairs = record_pairs(&doc);
         let keep: Vec<_> = pairs
             .iter()
             .filter(|(a, s)| !(a == &id.approach && s == &id.key))
             .cloned()
             .collect();
-        let matching = pairs.len() - keep.len();
-        if matching == 0 {
-            continue;
-        }
-        removed += matching;
+        removed += pairs.len() - keep.len();
         if !keep.is_empty() {
             env.docs().insert(COMMITS_COLLECTION, record_for(&keep))?;
         }
@@ -322,6 +376,216 @@ mod tests {
         env.docs().insert(COMMITS_COLLECTION, json!({"unrelated": true})).unwrap();
         assert_eq!(committed_ids(&env).unwrap().len(), 0);
         assert!(!is_committed(&env, &id("baseline", "0")).unwrap());
+    }
+
+    #[test]
+    fn pair_keys_are_unambiguous() {
+        let pairs = [
+            ("a", "b:c"),
+            ("a:b", "c"),
+            ("1", "0:x"),
+            ("10", ":x"),
+            ("", ""),
+            ("é", "ü:1"),
+        ];
+        let keys: HashSet<String> = pairs.iter().map(|(a, s)| pair_key(a, s)).collect();
+        assert_eq!(keys.len(), pairs.len(), "no two pairs share a key");
+    }
+
+    #[test]
+    fn a_batched_lookup_is_one_query_and_the_gate_is_its_one_id_case() {
+        let (_d, env) = env();
+        let ids = [id("baseline", "0"), id("update", "1"), id("update", "2")];
+        commit_save(&env, &ids[0]).unwrap();
+        env.docs()
+            .insert(
+                COMMITS_COLLECTION,
+                json!({"batch": [
+                    json!({"approach": "update", "set": "1"}),
+                    json!({"approach": "provenance", "set": "9"}),
+                ]}),
+            )
+            .unwrap();
+        let (found, m) = env.measure(|| committed_among(&env, &ids).unwrap());
+        let pair = |i: &ModelSetId| (i.approach.clone(), i.key.clone());
+        assert_eq!(
+            found,
+            HashSet::from([pair(&ids[0]), pair(&ids[1])]),
+            "only what was asked"
+        );
+        assert_eq!(m.stats.total_ops(), 1, "one query for any number of ids");
+        let (none, m) = env.measure(|| committed_among(&env, []).unwrap());
+        assert!(none.is_empty());
+        assert_eq!(
+            m.stats.total_ops(),
+            0,
+            "asking about nothing asks the store nothing"
+        );
+        let (_, m) = env.measure(|| is_committed(&env, &ids[2]).unwrap());
+        assert_eq!(m.stats.doc_queries, 1);
+        assert_eq!(m.stats.bytes_read, 0, "an absent pair transfers no record");
+    }
+
+    /// The law the pair index stands on: it is the log, read another way.
+    mod index_is_the_log {
+        use super::*;
+        use mmm_store::{BreakerConfig, FaultInjector, FaultPlan, FaultTarget, OpClass};
+        use proptest::prelude::*;
+        use std::time::Duration;
+
+        /// Ids whose parts collide under any naive separator.
+        const POOL: [(&str, &str); 8] = [
+            ("baseline", "0"),
+            ("baseline", "1"),
+            ("update", "0"),
+            ("update", "1"),
+            ("mmlib-base", "0:3"),
+            ("a:b", "c"),
+            ("a", "b:c"),
+            ("branch", "0"),
+        ];
+
+        fn pool(i: u8) -> ModelSetId {
+            let (approach, key) = POOL[i as usize % POOL.len()];
+            id(approach, key)
+        }
+
+        fn member(i: u8) -> Value {
+            let id = pool(i);
+            json!({"approach": id.approach, "set": id.key})
+        }
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Commit(u8),
+            /// Commits racing into the group committer's window.
+            ConcurrentCommits(Vec<u8>),
+            /// Records inserted straight into the collection.
+            InsertSingle(u8),
+            InsertBatch(Vec<u8>),
+            /// A batch with malformed members beside a good one, and a
+            /// document that is no commit record at all.
+            InsertMalformed(u8),
+            Decommit(u8),
+            /// A decommit that dies after inserting the trimmed record
+            /// and before deleting the old one.
+            DecommitCrashed(u8),
+            /// A commit whose append is torn: never acknowledged.
+            TornCommit(u8),
+            Compact,
+            Reopen,
+        }
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            let some = || proptest::collection::vec(any::<u8>(), 2..5);
+            prop_oneof![
+                4 => any::<u8>().prop_map(Op::Commit),
+                1 => some().prop_map(Op::ConcurrentCommits),
+                2 => any::<u8>().prop_map(Op::InsertSingle),
+                3 => some().prop_map(Op::InsertBatch),
+                1 => any::<u8>().prop_map(Op::InsertMalformed),
+                4 => any::<u8>().prop_map(Op::Decommit),
+                2 => any::<u8>().prop_map(Op::DecommitCrashed),
+                1 => any::<u8>().prop_map(Op::TornCommit),
+                1 => Just(Op::Compact),
+                1 => Just(Op::Reopen),
+            ]
+        }
+
+        fn open(dir: &TempDir, faults: &FaultInjector) -> ManagementEnv {
+            ManagementEnv::builder(dir.path(), LatencyProfile::zero())
+                .faults(faults.clone())
+                // Injected failures are the point; they must not trip
+                // the breaker and turn later steps into refusals.
+                .breaker(BreakerConfig {
+                    failure_threshold: u32::MAX,
+                    ..BreakerConfig::default()
+                })
+                .commit_window(Duration::from_millis(2))
+                .open()
+                .unwrap()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// After every step of any history, for every id ever
+            /// mentioned: `is_committed(id)` ⇔ `id ∈ ⋃ record_pairs(all)`,
+            /// the batched form agrees, and `committed_ids` is that union.
+            #[test]
+            fn every_reader_agrees_with_a_walk_of_the_log(
+                ops in proptest::collection::vec(arb_op(), 1..30),
+            ) {
+                let dir = TempDir::new("mmm-commit-law").unwrap();
+                let faults = FaultInjector::new();
+                let mut env = open(&dir, &faults);
+                for op in ops {
+                    match op {
+                        Op::Commit(i) => {
+                            commit_save(&env, &pool(i)).unwrap();
+                        }
+                        Op::ConcurrentCommits(is) => std::thread::scope(|s| {
+                            for i in is {
+                                let env = &env;
+                                s.spawn(move || commit_save(env, &pool(i)).unwrap());
+                            }
+                        }),
+                        Op::InsertSingle(i) => {
+                            env.docs().insert(COMMITS_COLLECTION, member(i)).unwrap();
+                        }
+                        Op::InsertBatch(is) => {
+                            let members: Vec<Value> = is.into_iter().map(member).collect();
+                            env.docs().insert(COMMITS_COLLECTION, json!({ "batch": members })).unwrap();
+                        }
+                        Op::InsertMalformed(i) => {
+                            let batch = json!({"batch": [json!({"approach": "baseline"}), json!(42), member(i)]});
+                            env.docs().insert(COMMITS_COLLECTION, batch).unwrap();
+                            env.docs().insert(COMMITS_COLLECTION, json!({"unrelated": true})).unwrap();
+                        }
+                        Op::Decommit(i) => {
+                            decommit(&env, &pool(i)).unwrap();
+                            prop_assert!(!is_committed(&env, &pool(i)).unwrap());
+                        }
+                        Op::DecommitCrashed(i) => {
+                            let covered = is_committed(&env, &pool(i)).unwrap();
+                            faults.arm(FaultPlan::crash_at(FaultTarget::Class(OpClass::DocDelete), 0));
+                            prop_assert_eq!(decommit(&env, &pool(i)).is_err(), covered);
+                            faults.disarm_all();
+                        }
+                        Op::TornCommit(i) => {
+                            faults.arm(FaultPlan::torn_write_at(FaultTarget::Class(OpClass::DocInsert), 0, 7));
+                            prop_assert!(commit_save(&env, &pool(i)).is_err());
+                            faults.disarm_all();
+                            // The writer died mid-append; the next open
+                            // truncates the torn tail.
+                            drop(env);
+                            env = open(&dir, &faults);
+                        }
+                        Op::Compact => {
+                            env.docs().compact(COMMITS_COLLECTION).unwrap();
+                        }
+                        Op::Reopen => {
+                            drop(env);
+                            env = open(&dir, &faults);
+                        }
+                    }
+                    let log: HashSet<(String, String)> = env
+                        .docs()
+                        .all(COMMITS_COLLECTION)
+                        .unwrap()
+                        .iter()
+                        .flat_map(|(_, doc)| record_pairs(doc))
+                        .collect();
+                    prop_assert_eq!(&committed_ids(&env).unwrap(), &log);
+                    let everyone: Vec<ModelSetId> = (0..POOL.len() as u8).map(pool).collect();
+                    for id in &everyone {
+                        let in_log = log.contains(&(id.approach.clone(), id.key.clone()));
+                        prop_assert_eq!(is_committed(&env, id).unwrap(), in_log, "{}", id);
+                    }
+                    prop_assert_eq!(&committed_among(&env, &everyone).unwrap(), &log);
+                }
+            }
+        }
     }
 
     #[test]

@@ -191,6 +191,10 @@ impl EnvBuilder {
             stats.clone(),
             faults.clone(),
         )?;
+        // The indexes the read paths look things up in, built here from
+        // the replayed logs and kept by the store from then on.
+        crate::commit::declare_index(&docs);
+        crate::tags::declare_indexes(&docs)?;
         let mut blobs = BlobStore::open(
             backend,
             dir.join("blobs"),

@@ -15,7 +15,7 @@
 //! A derived node names its base in the `base` field of its document;
 //! the base is a set of its own, not part of the node.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
 use serde_json::Value;
@@ -78,6 +78,24 @@ pub(crate) fn dir_of(key: &str) -> &str {
     key.match_indices('/')
         .nth(1)
         .map_or(key, |(i, _)| &key[..i])
+}
+
+/// Every blob stored under `approach`'s directory, grouped by the
+/// document directory ([`doc_dir`]) it sits in: one walk instead of one
+/// probe per document.
+pub(crate) fn blobs_by_dir(
+    env: &ManagementEnv,
+    approach: &str,
+) -> Result<HashMap<String, Vec<String>>> {
+    // The approach's directory is the first segment of any of its
+    // document directories.
+    let any_doc_dir = doc_dir(approach, 0);
+    let root = any_doc_dir.split('/').next().unwrap_or(approach);
+    let mut dirs: HashMap<String, Vec<String>> = HashMap::new();
+    for key in env.blobs().list_keys(root)? {
+        dirs.entry(dir_of(&key).to_string()).or_default().push(key);
+    }
+    Ok(dirs)
 }
 
 /// Key of the concatenated-parameters blob of a full save.

@@ -37,10 +37,21 @@
 //!
 //! # Planning
 //!
-//! [`Query::run`] probes the tag and branch indexes for top-level
-//! `and`-conjuncts before the catalog scan, so `tag:prod and …` never
-//! joins records that cannot match. The probes used are reported in
-//! [`QueryOutput::probes`].
+//! [`Query::run`] plans first: it probes the tag and branch indexes
+//! for top-level `and`-conjuncts. When a probe applies, the candidates
+//! it names are fetched **by id** — one commit lookup, one fetch of
+//! their set documents, blob stats of those rows only, and their
+//! lineage resolved by following `base` pointers, one more fetch per
+//! chain level — so `tag:prod and …` costs what its hits and their
+//! chains cost, whatever the lake holds. Only when no probe applies is
+//! the catalogue listed. Both ways build their rows with the
+//! catalogue's row constructor and evaluate them the same way, so a
+//! probe returns exactly what the scan would (property-tested). The
+//! probes used are reported in [`QueryOutput::probes`].
+//!
+//! A run emits a root `query` span tiled by its four phases: `plan`,
+//! `catalog` (the rows), `join` (tags, branches, lineage, similarity
+//! references) and `eval`.
 //!
 //! # Similarity
 //!
@@ -56,6 +67,7 @@ use std::fmt;
 use crate::approach::{common, UpdateSaver};
 use crate::branch;
 use crate::catalog::{self, SetKind, TierBytes};
+use crate::commit;
 use crate::env::ManagementEnv;
 use crate::model_set::ModelSetId;
 use crate::tags;
@@ -790,8 +802,9 @@ impl Query {
     }
 
     /// Run the query: probe tag/branch indexes for top-level
-    /// conjuncts, scan the catalog, join the unified record view, and
-    /// evaluate the expression per record.
+    /// conjuncts, fetch the candidates they name (or, without a probe,
+    /// list the catalog), join the unified record view, and evaluate
+    /// the expression per record.
     pub fn run(&self, env: &ManagementEnv) -> Result<QueryOutput> {
         run_expr(env, &self.expr)
     }
@@ -826,16 +839,16 @@ fn conjuncts<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
 /// Candidate ids from index probes, or `None` when no probe applies
 /// (full scan). An empty set means the probes proved nothing matches.
 struct Plan {
-    candidates: Option<HashSet<(String, String)>>,
+    candidates: Option<HashSet<ModelSetId>>,
     probes: Vec<String>,
 }
 
 fn plan(env: &ManagementEnv, expr: &Expr) -> Result<Plan> {
     let mut top = Vec::new();
     conjuncts(expr, &mut top);
-    let mut candidates: Option<HashSet<(String, String)>> = None;
+    let mut candidates: Option<HashSet<ModelSetId>> = None;
     let mut probes = Vec::new();
-    let mut narrow = |ids: HashSet<(String, String)>, probe: String| {
+    let mut narrow = |ids: HashSet<ModelSetId>, probe: String| {
         candidates = Some(match candidates.take() {
             None => ids,
             Some(prev) => prev.intersection(&ids).cloned().collect(),
@@ -845,22 +858,17 @@ fn plan(env: &ManagementEnv, expr: &Expr) -> Result<Plan> {
     for c in top {
         match c {
             Expr::Tag(t) => {
-                let ids = tags::find_by_tag(env, t)?
-                    .into_iter()
-                    .map(|id| (id.approach, id.key))
-                    .collect();
+                let ids = tags::find_by_tag(env, t)?.into_iter().collect();
                 narrow(ids, format!("tag:{t}"));
             }
             Expr::Branch(name) => {
                 let ids = match branch::branch_by_name(env, name) {
                     Ok(b) => {
-                        let mut ids: HashSet<(String, String)> = b
-                            .nodes
-                            .iter()
-                            .map(|k| (b.head.approach.clone(), k.clone()))
-                            .collect();
-                        ids.insert((b.head.approach.clone(), b.head.key.clone()));
-                        ids
+                        let node = |key: &String| ModelSetId {
+                            approach: b.head.approach.clone(),
+                            key: key.clone(),
+                        };
+                        b.nodes.iter().chain([&b.head.key]).map(node).collect()
                     }
                     // An unknown branch matches nothing; that is an
                     // empty result, not a query failure.
@@ -939,8 +947,9 @@ fn branch_membership(env: &ManagementEnv) -> Result<HashMap<String, Vec<String>>
 }
 
 /// Lineage depth and ancestor sets, derived from the catalog's own
-/// base links (no extra document reads). Cycle-safe: a walk longer
-/// than the population is truncated.
+/// base links (no extra document reads when the rows are the whole
+/// catalogue). Cycle-safe: a walk longer than the population is
+/// truncated.
 struct LineageIndex {
     // key -> base key, per approach-scoped id string.
     base: HashMap<String, String>,
@@ -957,24 +966,77 @@ impl LineageIndex {
         LineageIndex { base }
     }
 
+    /// Add the links of `summaries`' ancestors, for rows that were
+    /// fetched by id and so are not the whole catalogue: one by-ids find
+    /// per chain level of all rows together, then one commit lookup for
+    /// every ancestor found, so the store round-trips follow the deepest
+    /// chain (its depth, plus one) and not the number of rows.
+    ///
+    /// As in [`LineageIndex::build`] over the whole catalogue, a link
+    /// exists exactly for a catalogued derived set: a walk that steps
+    /// onto debris (an uncommitted or deleted base) counts that step
+    /// and stops there.
+    fn fetch_ancestors(
+        &mut self,
+        env: &ManagementEnv,
+        summaries: &[catalog::SetSummary],
+    ) -> Result<()> {
+        // Sets whose document is at hand or being fetched.
+        let mut seen: HashSet<(String, String)> = summaries
+            .iter()
+            .map(|s| (s.id.approach.clone(), s.id.key.clone()))
+            .collect();
+        let mut level: HashSet<(String, String)> = summaries
+            .iter()
+            .filter_map(|s| Some((s.id.approach.clone(), s.base.clone()?)))
+            .filter(|parent| seen.insert(parent.clone()))
+            .collect();
+        // Ancestors whose document names a base, and that base's key.
+        let mut derived: Vec<(ModelSetId, String)> = Vec::new();
+        while !level.is_empty() {
+            let docs = catalog::set_docs(env, &level)?;
+            level.clear();
+            for (id, doc) in docs {
+                let Some(base) = catalog::base_of(&doc) else {
+                    continue;
+                };
+                let parent = (id.approach.clone(), base.clone());
+                if seen.insert(parent.clone()) {
+                    level.insert(parent);
+                }
+                derived.push((id, base));
+            }
+        }
+        // An uncommitted ancestor is debris: the walk stops on it.
+        let committed = commit::committed_among(env, derived.iter().map(|(id, _)| id))?;
+        for (id, base) in derived {
+            if committed.contains(&(id.approach.clone(), id.key.clone())) {
+                self.base
+                    .insert(id.to_string(), format!("{}:{}", id.approach, base));
+            }
+        }
+        Ok(())
+    }
+
     fn depth(&self, id: &ModelSetId) -> usize {
-        let mut cur = id.to_string();
+        let start = id.to_string();
+        let mut cur = &start;
         let mut d = 0;
-        while let Some(next) = self.base.get(&cur) {
+        while let Some(next) = self.base.get(cur) {
             d += 1;
             if d > self.base.len() {
                 break; // cycle in damaged metadata; stop counting
             }
-            cur = next.clone();
+            cur = next;
         }
         d
     }
 
     fn descends_from(&self, id: &ModelSetId, ancestor: &ModelSetId) -> bool {
-        let target = ancestor.to_string();
-        let mut cur = id.to_string();
+        let (start, target) = (id.to_string(), ancestor.to_string());
+        let mut cur = &start;
         let mut hops = 0;
-        while let Some(next) = self.base.get(&cur) {
+        while let Some(next) = self.base.get(cur) {
             hops += 1;
             if hops > self.base.len() {
                 return false;
@@ -982,7 +1044,7 @@ impl LineageIndex {
             if *next == target {
                 return true;
             }
-            cur = next.clone();
+            cur = next;
         }
         false
     }
@@ -1026,21 +1088,24 @@ fn hash_similarity(a: &HashMap<u64, u64>, b: &HashMap<u64, u64>) -> f64 {
 struct EvalCtx<'e> {
     env: &'e ManagementEnv,
     lineage: LineageIndex,
-    // Reference id string -> its multiset (loaded once per query).
-    refs: HashMap<String, HashMap<u64, u64>>,
-    // Candidate id string -> its multiset (memoized across predicates).
-    cand_hashes: HashMap<String, Option<HashMap<u64, u64>>>,
+    // Id string -> its multiset, references and candidates alike: each
+    // hash table is read at most once per query.
+    hashes: HashMap<String, Option<HashMap<u64, u64>>>,
 }
 
 impl<'e> EvalCtx<'e> {
+    fn hashes_of(&mut self, id: &ModelSetId) -> Option<&HashMap<u64, u64>> {
+        let env = self.env;
+        self.hashes
+            .entry(id.to_string())
+            .or_insert_with(|| hash_multiset(env, id))
+            .as_ref()
+    }
+
     fn similarity(&mut self, rec_id: &ModelSetId, reference: &ModelSetId) -> Option<f64> {
-        let ref_set = self.refs.get(&reference.to_string())?;
-        let key = rec_id.to_string();
-        if !self.cand_hashes.contains_key(&key) {
-            let loaded = hash_multiset(self.env, rec_id);
-            self.cand_hashes.insert(key.clone(), loaded);
-        }
-        let cand = self.cand_hashes.get(&key)?.as_ref()?;
+        self.hashes_of(rec_id)?;
+        let cand = self.hashes.get(&rec_id.to_string())?.as_ref()?;
+        let ref_set = self.hashes.get(&reference.to_string())?.as_ref()?;
         Some(hash_similarity(ref_set, cand))
     }
 }
@@ -1077,38 +1142,51 @@ fn eval(expr: &Expr, rec: &SetRecord, ctx: &mut EvalCtx<'_>) -> bool {
 }
 
 fn run_expr(env: &ManagementEnv, expr: &Expr) -> Result<QueryOutput> {
-    let plan = plan(env, expr)?;
-    let summaries = catalog::list_sets(env)?;
+    let _query = env.obs().span("query");
+    let plan = {
+        let _span = env.obs().span("plan");
+        plan(env, expr)?
+    };
 
+    // The rows to evaluate: fetched by id when the probes named
+    // candidates, the whole catalogue when none applied. Same rows,
+    // same order, either way.
+    let summaries = {
+        let _span = env.obs().span("catalog");
+        match &plan.candidates {
+            Some(ids) => catalog::sets_by_id(env, ids)?,
+            None => catalog::list_sets(env)?,
+        }
+    };
+
+    let join = env.obs().span("join");
     let tag_map = all_tags(env)?;
     let branch_map = branch_membership(env)?;
-    let lineage = LineageIndex::build(&summaries);
-
+    let mut lineage = LineageIndex::build(&summaries);
+    if plan.candidates.is_some() {
+        lineage.fetch_ancestors(env, &summaries)?;
+    }
     let mut needs = Needs::default();
     collect_needs(expr, &mut needs);
-    let mut refs = HashMap::new();
+    let mut ctx = EvalCtx {
+        env,
+        lineage,
+        hashes: HashMap::new(),
+    };
     for r in &needs.similar_refs {
-        let Some(set) = hash_multiset(env, r) else {
+        if ctx.hashes_of(r).is_none() {
             return Err(Error::invalid(format!(
                 "similar-to reference {r} has no layer-hash table \
                  (only committed update-approach sets do)"
             )));
-        };
-        refs.insert(r.to_string(), set);
-    }
-    let first_ref = needs.similar_refs.first().cloned();
-
-    let mut ctx = EvalCtx { env, lineage, refs, cand_hashes: HashMap::new() };
-
-    let mut records = Vec::new();
-    let mut scanned = 0;
-    for s in summaries.iter() {
-        if let Some(cands) = &plan.candidates {
-            if !cands.contains(&(s.id.approach.clone(), s.id.key.clone())) {
-                continue;
-            }
         }
-        scanned += 1;
+    }
+    let first_ref = needs.similar_refs.first();
+    drop(join);
+
+    let _span = env.obs().span("eval");
+    let mut records = Vec::new();
+    for s in &summaries {
         let id_str = s.id.to_string();
         let mut rec = SetRecord {
             id: s.id.clone(),
@@ -1123,14 +1201,18 @@ fn run_expr(env: &ManagementEnv, expr: &Expr) -> Result<QueryOutput> {
             similarity: None,
         };
         if eval(expr, &rec, &mut ctx) {
-            if let Some(r) = &first_ref {
+            if let Some(r) = first_ref {
                 rec.similarity = ctx.similarity(&rec.id, r);
             }
             records.push(rec);
         }
     }
 
-    Ok(QueryOutput { records, scanned, probes: plan.probes })
+    Ok(QueryOutput {
+        records,
+        scanned: summaries.len(),
+        probes: plan.probes,
+    })
 }
 
 #[cfg(test)]
@@ -1270,6 +1352,32 @@ mod tests {
 
         // ... and cannot serve as a reference.
         assert!(run(&env, &format!("similar-to({idb}, 0.5)")).is_err());
+    }
+
+    #[test]
+    fn similarity_reads_each_hash_table_once() {
+        let dir = TempDir::new("mmm-query").unwrap();
+        let env = ManagementEnv::open(dir.path(), LatencyProfile::zero()).unwrap();
+        let s0 = set(4, 0);
+        BaselineSaver::new().save_initial(&env, &s0).unwrap();
+        let mut u = UpdateSaver::new();
+        let id0 = u.save_initial(&env, &s0).unwrap();
+        let d = Derivation {
+            base: id0.clone(),
+            train: TrainConfig::regression_default(0),
+            updates: vec![],
+        };
+        let id1 = u.save_set(&env, &s0, Some(&d)).unwrap();
+        // The reference is itself a candidate, and the expression asks
+        // about it twice: still one read per stored table.
+        let expr =
+            format!("similar-to({id0}, 0.5) or similar-to({id0}, 0.9) or similar-to({id1}, 1)");
+        let (out, m) = env.measure(|| run(&env, &expr).unwrap());
+        assert_eq!(out.records.len(), 2);
+        assert_eq!(
+            m.stats.blob_gets, 2,
+            "one read of each of the two hash tables"
+        );
     }
 
     #[test]

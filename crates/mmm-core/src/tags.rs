@@ -7,11 +7,19 @@
 
 use crate::env::ManagementEnv;
 use crate::model_set::ModelSetId;
+use mmm_store::DocumentStore;
 use mmm_util::Result;
 use serde_json::{json, Value};
 
 /// Document-store collection holding one document per (set, tag) pair.
 pub const TAGS_COLLECTION: &str = "set_tags";
+
+/// Index both fields the lookups here filter on, so a lookup costs its
+/// hits and not the collection (once, when the environment opens).
+pub(crate) fn declare_indexes(docs: &DocumentStore) -> Result<()> {
+    docs.create_index(TAGS_COLLECTION, "tag")?;
+    docs.create_index(TAGS_COLLECTION, "set")
+}
 
 /// Attach a tag to a saved set. Idempotent: tagging twice is a no-op.
 pub fn tag_set(env: &ManagementEnv, id: &ModelSetId, tag: &str) -> Result<()> {
@@ -113,6 +121,21 @@ mod tests {
         found.sort_by(|a, b| a.key.cmp(&b.key));
         assert_eq!(found, vec![id("1"), id("7")]);
         assert!(find_by_tag(&env, "missing").unwrap().is_empty());
+    }
+
+    #[test]
+    fn lookups_go_through_the_declared_indexes() {
+        let (_d, env) = env();
+        tag_set(&env, &id("1"), "golden").unwrap();
+        tag_set(&env, &id("2"), "other").unwrap();
+        // `find_eq` takes the O(hits) path exactly when an index is
+        // named after the field; both fields must have one.
+        for (field, value) in [("set", "update:1"), ("tag", "golden")] {
+            let hits = env
+                .docs()
+                .find_by_key(TAGS_COLLECTION, field, &[json!(value).to_string()]);
+            assert_eq!(hits.unwrap().len(), 1, "index on {field}");
+        }
     }
 
     #[test]

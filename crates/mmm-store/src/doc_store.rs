@@ -18,10 +18,12 @@
 //! offset. Checksum-less records (logs written before checksums
 //! existed) still replay.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde_json::{json, Value};
@@ -82,36 +84,120 @@ fn parse_record(line: &[u8], collection: &str, offset: usize) -> Result<Value> {
     })
 }
 
+/// The keys one document is filed under in a secondary index: none
+/// (not indexed), one (a scalar field) or several (a batched record).
+type KeysOf = Arc<dyn Fn(&Value) -> Vec<String> + Send + Sync>;
+
+/// A declared secondary index: its name, how a document is keyed, and
+/// whether it is the index of the field it is named after — the only
+/// kind [`DocumentStore::find_eq`] may answer from.
+#[derive(Clone)]
+struct IndexDef {
+    name: String,
+    keys_of: KeysOf,
+    of_field: bool,
+}
+
+/// One secondary index of a collection: key → ids of the documents
+/// filed under it. Lives and dies with the in-memory collection, so it
+/// says exactly what a scan of the collection would.
+struct Index {
+    def: IndexDef,
+    buckets: HashMap<String, Vec<DocId>>,
+}
+
+impl Index {
+    fn insert(&mut self, id: DocId, doc: &Value) {
+        for key in (self.def.keys_of)(doc) {
+            self.buckets.entry(key).or_default().push(id);
+        }
+    }
+
+    fn remove(&mut self, id: DocId, doc: &Value) {
+        for key in (self.def.keys_of)(doc) {
+            if let Entry::Occupied(mut bucket) = self.buckets.entry(key) {
+                bucket.get_mut().retain(|&d| d != id);
+                // A key whose last document is gone leaves nothing behind.
+                if bucket.get().is_empty() {
+                    bucket.remove();
+                }
+            }
+        }
+    }
+}
+
 struct Collection {
     log: File,
     /// Documents keyed by id (BTreeMap: O(log n) point lookups, ordered
     /// iteration for scans).
     docs: BTreeMap<DocId, Value>,
     next_id: DocId,
-    /// Secondary indexes: field name → (serialized value → doc ids).
-    /// Maintained on insert/delete; created via
-    /// [`DocumentStore::create_index`].
-    indexes: HashMap<String, HashMap<String, Vec<DocId>>>,
+    /// Secondary indexes by name, maintained on insert/delete; declared
+    /// via [`DocumentStore::create_keyed_index`].
+    indexes: HashMap<String, Index>,
 }
 
 impl Collection {
     fn index_insert(&mut self, id: DocId, doc: &Value) {
-        for (field, index) in &mut self.indexes {
-            if let Some(v) = doc.get(field) {
-                index.entry(v.to_string()).or_default().push(id);
-            }
-        }
+        self.indexes
+            .values_mut()
+            .for_each(|index| index.insert(id, doc));
     }
 
     fn index_remove(&mut self, id: DocId, doc: &Value) {
-        for (field, index) in &mut self.indexes {
-            if let Some(v) = doc.get(field) {
-                if let Some(ids) = index.get_mut(&v.to_string()) {
-                    ids.retain(|&d| d != id);
-                }
-            }
-        }
+        self.indexes
+            .values_mut()
+            .for_each(|index| index.remove(id, doc));
     }
+
+    /// (Re)build the index `def` declares from the documents held now.
+    fn build_index(&mut self, def: IndexDef) {
+        let name = def.name.clone();
+        let mut index = Index {
+            def,
+            buckets: HashMap::new(),
+        };
+        self.docs
+            .iter()
+            .for_each(|(&id, doc)| index.insert(id, doc));
+        self.indexes.insert(name, index);
+    }
+
+    /// The documents filed under any of `keys` in index `name`, each
+    /// once, id-ascending; an index nobody declared is [`Error::Invalid`].
+    fn indexed(
+        &self,
+        collection: &str,
+        name: &str,
+        keys: &[String],
+    ) -> Result<Vec<(DocId, Value)>> {
+        let index = self.indexes.get(name).ok_or_else(|| {
+            Error::invalid(format!("collection {collection:?} has no index {name:?}"))
+        })?;
+        let ids: BTreeSet<DocId> = keys
+            .iter()
+            .filter_map(|k| index.buckets.get(k))
+            .flatten()
+            .copied()
+            .collect();
+        Ok(self.fetch(ids))
+    }
+
+    /// The documents with the given ids that exist, in the order given.
+    fn fetch(&self, ids: impl IntoIterator<Item = DocId>) -> Vec<(DocId, Value)> {
+        ids.into_iter()
+            .filter_map(|id| self.docs.get(&id).map(|v| (id, v.clone())))
+            .collect()
+    }
+}
+
+/// The collections whose name hashes into one shard, and the indexes
+/// declared for them (a declaration outlives, and may precede, the
+/// collection it names).
+#[derive(Default)]
+struct Shard {
+    collections: HashMap<String, Collection>,
+    index_defs: HashMap<String, Vec<IndexDef>>,
 }
 
 /// Number of collection-map shards. Operations on different collections
@@ -138,7 +224,7 @@ pub struct DocumentStore {
     /// [`DocumentStore::set_observer`]. Mirrors op latencies and fault
     /// activations into metrics without touching behaviour.
     obs: Observer,
-    shards: [Mutex<HashMap<String, Collection>>; SHARDS],
+    shards: [Mutex<Shard>; SHARDS],
 }
 
 fn shard_of(name: &str) -> usize {
@@ -168,7 +254,7 @@ impl DocumentStore {
     ) -> Result<Self> {
         let root = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&root)?;
-        let mut shards: [HashMap<String, Collection>; SHARDS] = Default::default();
+        let mut shards: [Shard; SHARDS] = Default::default();
         for entry in std::fs::read_dir(&root)? {
             let entry = entry?;
             let path = entry.path();
@@ -179,7 +265,7 @@ impl DocumentStore {
                     .ok_or_else(|| Error::corrupt("non-utf8 collection name"))?
                     .to_string();
                 let coll = Self::replay(&path, &name)?;
-                shards[shard_of(&name)].insert(name, coll);
+                shards[shard_of(&name)].collections.insert(name, coll);
             }
         }
         Ok(DocumentStore {
@@ -268,18 +354,26 @@ impl DocumentStore {
     }
 
     fn with_collection<T>(&self, name: &str, f: impl FnOnce(&mut Collection) -> Result<T>) -> Result<T> {
-        let mut colls = self.shards[shard_of(name)].lock();
-        let coll = match colls.entry(name.to_string()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
+        let mut shard = self.shards[shard_of(name)].lock();
+        let Shard {
+            collections,
+            index_defs,
+        } = &mut *shard;
+        let coll = match collections.entry(name.to_string()) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => {
                 let path = self.root.join(format!("{name}.jsonl"));
                 let log = OpenOptions::new().create(true).append(true).open(&path)?;
-                v.insert(Collection {
+                let mut coll = Collection {
                     log,
                     docs: BTreeMap::new(),
                     next_id: 0,
                     indexes: HashMap::new(),
-                })
+                };
+                for def in index_defs.get(name).into_iter().flatten() {
+                    coll.build_index(def.clone());
+                }
+                v.insert(coll)
             }
         };
         f(coll)
@@ -350,11 +444,31 @@ impl DocumentStore {
                 .get(&id)
                 .cloned()
                 .ok_or_else(|| Error::not_found(format!("document {id} in {collection:?}")))?;
-            let bytes = found.to_string().len() as u64;
-            let cost = self.profile.doc_query.cost(bytes);
-            self.stats.record_doc_query(bytes);
-            self.clock.charge(cost);
-            self.observe_op("doc_query", bytes, cost);
+            self.charge_query("doc_query", found.to_string().len() as u64);
+            Ok(found)
+        })
+    }
+
+    /// Charge one query round-trip that transferred `bytes`.
+    fn charge_query(&self, op: &'static str, bytes: u64) {
+        let cost = self.profile.doc_query.cost(bytes);
+        self.stats.record_doc_query(bytes);
+        self.clock.charge(cost);
+        self.observe_op(op, bytes, cost);
+    }
+
+    /// One find() call: fault-gated, then charged as one `doc_query`
+    /// round-trip plus the bytes of the documents `select` returned.
+    fn find(
+        &self,
+        collection: &str,
+        select: impl FnOnce(&Collection) -> Result<Vec<(DocId, Value)>>,
+    ) -> Result<Vec<(DocId, Value)>> {
+        self.fault_gate(OpClass::DocQuery, "doc_find", 0)?;
+        self.with_collection(collection, |coll| {
+            let found = select(coll)?;
+            let bytes = found.iter().map(|(_, v)| v.to_string().len() as u64).sum();
+            self.charge_query("doc_find", bytes);
             Ok(found)
         })
     }
@@ -362,33 +476,43 @@ impl DocumentStore {
     /// Find all documents whose `field` equals `value`.
     /// Charged as one `doc_query` round-trip (one find() call).
     pub fn find_eq(&self, collection: &str, field: &str, value: &Value) -> Result<Vec<(DocId, Value)>> {
-        self.fault_gate(OpClass::DocQuery, "doc_find", 0)?;
-        self.with_collection(collection, |coll| {
-            let found: Vec<(DocId, Value)> = if let Some(index) = coll.indexes.get(field) {
+        self.find(collection, |coll| {
+            if coll.indexes.get(field).is_some_and(|i| i.def.of_field) {
                 // Indexed path: O(hits).
-                index
-                    .get(&value.to_string())
-                    .map(|ids| {
-                        ids.iter()
-                            .filter_map(|id| coll.docs.get(id).map(|v| (*id, v.clone())))
-                            .collect()
-                    })
-                    .unwrap_or_default()
+                coll.indexed(collection, field, &[value.to_string()])
             } else {
                 // Unindexed path: full collection scan.
-                coll.docs
+                Ok(coll
+                    .docs
                     .iter()
                     .filter(|(_, v)| v.get(field) == Some(value))
                     .map(|(id, v)| (*id, v.clone()))
-                    .collect()
-            };
-            let bytes: u64 = found.iter().map(|(_, v)| v.to_string().len() as u64).sum();
-            let cost = self.profile.doc_query.cost(bytes);
-            self.stats.record_doc_query(bytes);
-            self.clock.charge(cost);
-            self.observe_op("doc_find", bytes, cost);
-            Ok(found)
+                    .collect())
+            }
         })
+    }
+
+    /// All documents filed under any of `keys` in the secondary index
+    /// `index` (see [`DocumentStore::create_keyed_index`]), each once,
+    /// id-ascending: O(hits), whatever the collection holds. Charged
+    /// like [`DocumentStore::find_eq`] — one `doc_query` round-trip for
+    /// any number of keys, bytes of the documents returned. An index
+    /// nobody declared is [`Error::Invalid`].
+    pub fn find_by_key(
+        &self,
+        collection: &str,
+        index: &str,
+        keys: &[String],
+    ) -> Result<Vec<(DocId, Value)>> {
+        self.find(collection, |coll| coll.indexed(collection, index, keys))
+    }
+
+    /// The documents with the given ids, in the order given; ids that
+    /// name no document are skipped. One `$in`-style find: charged as
+    /// one `doc_query` round-trip for any number of ids, bytes of the
+    /// documents returned.
+    pub fn get_many(&self, collection: &str, ids: &[DocId]) -> Result<Vec<(DocId, Value)>> {
+        self.find(collection, |coll| Ok(coll.fetch(ids.iter().copied())))
     }
 
     /// Delete one document by id (append a tombstone to the log). The id
@@ -474,19 +598,57 @@ impl DocumentStore {
 
     /// Create (or rebuild) a secondary index on `field`, making
     /// [`DocumentStore::find_eq`] on that field O(hits) instead of a
-    /// collection scan. In-memory only: recreate after reopening. Not
-    /// charged (a server-side maintenance operation).
+    /// collection scan: the one-key case of
+    /// [`DocumentStore::create_keyed_index`], named after the field.
     pub fn create_index(&self, collection: &str, field: &str) -> Result<()> {
-        self.with_collection(collection, |coll| {
-            let mut index: HashMap<String, Vec<DocId>> = HashMap::new();
-            for (&id, doc) in &coll.docs {
-                if let Some(v) = doc.get(field) {
-                    index.entry(v.to_string()).or_default().push(id);
-                }
-            }
-            coll.indexes.insert(field.to_string(), index);
-            Ok(())
-        })
+        let name = field.to_string();
+        self.declare_index(collection, field, true, move |doc| {
+            doc.get(&name).map(Value::to_string).into_iter().collect()
+        });
+        Ok(())
+    }
+
+    /// Declare (or redeclare) the secondary index `index` on
+    /// `collection`: every document is filed under each key `keys_of`
+    /// returns for it — none, one, or one per member of a batched
+    /// record. The index is rebuilt from the documents the collection
+    /// holds now and updated by every later insert and delete in the
+    /// critical section that updates the collection itself, so a lookup
+    /// can never disagree with a scan. The declaration applies whenever
+    /// the collection comes into being (replayed at open, or created by
+    /// its first insert) and creates nothing on disk: indexes are
+    /// in-memory only, redeclare after reopening. Only
+    /// [`DocumentStore::find_by_key`] reads it — `find_eq` never
+    /// mistakes it for the index of a field of the same name. Not
+    /// charged (a server-side maintenance operation).
+    pub fn create_keyed_index(
+        &self,
+        collection: &str,
+        index: &str,
+        keys_of: impl Fn(&Value) -> Vec<String> + Send + Sync + 'static,
+    ) {
+        self.declare_index(collection, index, false, keys_of);
+    }
+
+    fn declare_index(
+        &self,
+        collection: &str,
+        name: &str,
+        of_field: bool,
+        keys_of: impl Fn(&Value) -> Vec<String> + Send + Sync + 'static,
+    ) {
+        let def = IndexDef {
+            name: name.to_string(),
+            keys_of: Arc::new(keys_of),
+            of_field,
+        };
+        let mut shard = self.shards[shard_of(collection)].lock();
+        if let Some(coll) = shard.collections.get_mut(collection) {
+            coll.build_index(def.clone());
+        }
+        let defs = shard.index_defs.entry(collection.to_string()).or_default();
+        defs.retain(|d| d.name != def.name);
+        defs.push(def);
     }
 
     /// Number of documents in a collection (not charged — local check
@@ -494,6 +656,7 @@ impl DocumentStore {
     pub fn count(&self, collection: &str) -> usize {
         self.shards[shard_of(collection)]
             .lock()
+            .collections
             .get(collection)
             .map(|c| c.docs.len())
             .unwrap_or(0)
@@ -503,16 +666,8 @@ impl DocumentStore {
     /// `doc_query` round-trip (one find() call) — used by catalog and
     /// fsck scans.
     pub fn all(&self, collection: &str) -> Result<Vec<(DocId, Value)>> {
-        self.fault_gate(OpClass::DocQuery, "doc_find", 0)?;
-        self.with_collection(collection, |coll| {
-            let found: Vec<(DocId, Value)> =
-                coll.docs.iter().map(|(id, v)| (*id, v.clone())).collect();
-            let bytes: u64 = found.iter().map(|(_, v)| v.to_string().len() as u64).sum();
-            let cost = self.profile.doc_query.cost(bytes);
-            self.stats.record_doc_query(bytes);
-            self.clock.charge(cost);
-            self.observe_op("doc_find", bytes, cost);
-            Ok(found)
+        self.find(collection, |coll| {
+            Ok(coll.docs.iter().map(|(id, v)| (*id, v.clone())).collect())
         })
     }
 
@@ -791,6 +946,146 @@ mod tests {
         assert!(db.find_eq("s", "kind", &json!("zzz")).unwrap().is_empty());
     }
 
+    /// The keys of a test document: every string in its `keys` array.
+    fn keys_field(doc: &Value) -> Vec<String> {
+        let keys = doc.get("keys").and_then(Value::as_array);
+        keys.into_iter()
+            .flatten()
+            .filter_map(Value::as_str)
+            .map(String::from)
+            .collect()
+    }
+
+    /// What index `by_key` must answer for `key`: the scan it replaces.
+    fn scan_for(db: &DocumentStore, key: &str) -> Vec<(DocId, Value)> {
+        let all = db.all("s").unwrap();
+        all.into_iter()
+            .filter(|(_, doc)| keys_field(doc).iter().any(|k| k == key))
+            .collect()
+    }
+
+    #[test]
+    fn declaring_an_index_creates_nothing_and_applies_to_the_first_insert() {
+        let dir = TempDir::new("mmm-doc").unwrap();
+        let db = open(dir.path(), LatencyProfile::zero());
+        db.create_keyed_index("s", "by_key", keys_field);
+        db.create_index("s", "kind").unwrap();
+        assert_eq!(
+            std::fs::read_dir(dir.path()).unwrap().count(),
+            0,
+            "no file for a declaration"
+        );
+        let id = db
+            .insert("s", json!({"keys": ["a", "b"], "kind": "x"}))
+            .unwrap();
+        for key in ["a", "b"] {
+            assert_eq!(
+                db.find_by_key("s", "by_key", &[key.into()]).unwrap()[0].0,
+                id
+            );
+        }
+        assert_eq!(db.find_eq("s", "kind", &json!("x")).unwrap().len(), 1);
+        assert!(matches!(
+            db.find_by_key("s", "nope", &[]),
+            Err(Error::Invalid(_))
+        ));
+    }
+
+    #[test]
+    fn find_eq_ignores_a_keyed_index_named_after_the_field() {
+        let dir = TempDir::new("mmm-doc").unwrap();
+        let db = open(dir.path(), LatencyProfile::zero());
+        // Keyed by something unrelated to the field `kind`.
+        db.create_keyed_index("s", "kind", keys_field);
+        let id = db
+            .insert("s", json!({"keys": ["full"], "kind": "diff"}))
+            .unwrap();
+        let found = |kind: &str| db.find_eq("s", "kind", &json!(kind)).unwrap();
+        assert_eq!(found("diff")[0].0, id, "answered by the scan");
+        assert!(found("full").is_empty());
+        assert_eq!(
+            db.find_by_key("s", "kind", &["full".into()]).unwrap()[0].0,
+            id
+        );
+        // Declaring the field's own index takes the name over.
+        db.create_index("s", "kind").unwrap();
+        assert_eq!(found("diff")[0].0, id);
+        assert!(found("full").is_empty());
+    }
+
+    #[test]
+    fn keyed_lookups_cost_one_query_and_the_bytes_they_return() {
+        let dir = TempDir::new("mmm-doc").unwrap();
+        let stats = StoreStats::new();
+        let db = DocumentStore::open(
+            dir.path(),
+            LatencyProfile::m1(),
+            VirtualClock::new(),
+            stats.clone(),
+        )
+        .unwrap();
+        db.create_keyed_index("s", "by_key", keys_field);
+        let docs = [
+            json!({"keys": ["a", "b"]}),
+            json!({"keys": ["b"]}),
+            json!({"unkeyed": true}),
+        ];
+        let ids: Vec<DocId> = docs
+            .iter()
+            .map(|d| db.insert("s", d.clone()).unwrap())
+            .collect();
+        let len = |i: usize| docs[i].to_string().len() as u64;
+
+        let before = stats.snapshot();
+        let hits = db
+            .find_by_key("s", "by_key", &["a".into(), "b".into(), "zzz".into()])
+            .unwrap();
+        let delta = stats.snapshot() - before;
+        assert_eq!(
+            hits,
+            vec![(ids[0], docs[0].clone()), (ids[1], docs[1].clone())],
+            "each once"
+        );
+        assert_eq!((delta.doc_queries, delta.bytes_read), (1, len(0) + len(1)));
+
+        let before = stats.snapshot();
+        let got = db.get_many("s", &[ids[2], 99, ids[0]]).unwrap();
+        let delta = stats.snapshot() - before;
+        assert_eq!(
+            got,
+            vec![(ids[2], docs[2].clone()), (ids[0], docs[0].clone())]
+        );
+        assert_eq!((delta.doc_queries, delta.bytes_read), (1, len(2) + len(0)));
+    }
+
+    #[test]
+    fn deleting_the_last_document_of_a_key_removes_its_bucket() {
+        let dir = TempDir::new("mmm-doc").unwrap();
+        let db = open(dir.path(), LatencyProfile::zero());
+        db.create_keyed_index("s", "by_key", keys_field);
+        db.create_index("s", "n").unwrap();
+        let buckets = |index: &str| {
+            db.with_collection("s", |coll| Ok(coll.indexes[index].buckets.len()))
+                .unwrap()
+        };
+        let ids: Vec<DocId> = (0..10_000)
+            .map(|n| {
+                db.insert(
+                    "s",
+                    json!({"keys": [format!("k{n}").as_str(), "shared"], "n": n}),
+                )
+                .unwrap()
+            })
+            .collect();
+        assert_eq!((buckets("by_key"), buckets("n")), (10_001, 10_000));
+        ids.iter().for_each(|&id| db.delete("s", id).unwrap());
+        assert_eq!(
+            (buckets("by_key"), buckets("n")),
+            (0, 0),
+            "empty buckets must not pile up"
+        );
+    }
+
     #[test]
     fn concurrent_inserts_are_safe_and_complete() {
         let dir = TempDir::new("mmm-doc").unwrap();
@@ -876,6 +1171,108 @@ mod tests {
                 1 => Just(Op::Compact),
                 1 => Just(Op::Reopen),
             ]
+        }
+
+        /// A random operation against an indexed collection.
+        #[derive(Debug, Clone)]
+        enum IndexOp {
+            /// Insert a document filed under these keys (of a pool of 6).
+            Insert(Vec<u8>),
+            /// Insert a document the key function has nothing to say about.
+            InsertUnkeyed,
+            /// The same insert, torn by an injected fault: never acknowledged.
+            TornInsert(Vec<u8>),
+            Delete(u8),
+            Compact,
+            Reopen,
+        }
+
+        fn arb_index_op() -> impl Strategy<Value = IndexOp> {
+            let keys = || proptest::collection::vec(0u8..6, 0..4);
+            prop_oneof![
+                5 => keys().prop_map(IndexOp::Insert),
+                1 => Just(IndexOp::InsertUnkeyed),
+                1 => keys().prop_map(IndexOp::TornInsert),
+                3 => any::<u8>().prop_map(IndexOp::Delete),
+                1 => Just(IndexOp::Compact),
+                1 => Just(IndexOp::Reopen),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// The index is the collection, read another way: after any
+            /// sequence of inserts (keyed under several keys, one, none),
+            /// torn inserts, deletes, compactions and reopens, a lookup
+            /// of every key returns exactly what filtering `all()` by
+            /// the key function does, and the index holds a bucket for
+            /// exactly the keys some document has.
+            #[test]
+            fn keyed_index_matches_scan(ops in proptest::collection::vec(arb_index_op(), 1..40)) {
+                use crate::fault::{FaultPlan, FaultTarget};
+                let dir = TempDir::new("mmm-doc-prop").unwrap();
+                let faults = FaultInjector::new();
+                let open_indexed = || {
+                    let db = DocumentStore::open_with_faults(
+                        dir.path(),
+                        LatencyProfile::zero(),
+                        VirtualClock::new(),
+                        StoreStats::new(),
+                        faults.clone(),
+                    )
+                    .unwrap();
+                    db.create_keyed_index("s", "by_key", keys_field);
+                    db
+                };
+                let doc_of = |keys: &[u8]| {
+                    let keys: Vec<String> = keys.iter().map(|k| format!("k{k}")).collect();
+                    json!({ "keys": keys })
+                };
+                let mut db = open_indexed();
+                let mut next_id: DocId = 0;
+                for op in ops {
+                    match op {
+                        IndexOp::Insert(keys) => {
+                            db.insert("s", doc_of(&keys)).unwrap();
+                            next_id += 1;
+                        }
+                        IndexOp::InsertUnkeyed => {
+                            db.insert("s", json!({"keys": 7, "other": true})).unwrap();
+                            next_id += 1;
+                        }
+                        IndexOp::TornInsert(keys) => {
+                            faults.arm(FaultPlan::torn_write_at(FaultTarget::Class(OpClass::DocInsert), 0, 9));
+                            prop_assert!(db.insert("s", doc_of(&keys)).is_err());
+                            faults.disarm_all();
+                            // The torn bytes sit in the log until the next
+                            // open truncates them; appending behind them
+                            // would glue two records together.
+                            drop(db);
+                            db = open_indexed();
+                        }
+                        IndexOp::Delete(sel) => {
+                            let _ = db.delete("s", u64::from(sel) % (next_id + 1));
+                        }
+                        IndexOp::Compact => {
+                            db.compact("s").unwrap();
+                        }
+                        IndexOp::Reopen => {
+                            drop(db);
+                            db = open_indexed();
+                        }
+                    }
+                    let mut live_keys = 0;
+                    for k in 0..6u8 {
+                        let key = format!("k{k}");
+                        let scanned = scan_for(&db, &key);
+                        prop_assert_eq!(&db.find_by_key("s", "by_key", &[key]).unwrap(), &scanned);
+                        live_keys += usize::from(!scanned.is_empty());
+                    }
+                    let buckets = db.with_collection("s", |coll| Ok(coll.indexes["by_key"].buckets.len()));
+                    prop_assert_eq!(buckets.unwrap(), live_keys);
+                }
+            }
         }
 
         proptest! {

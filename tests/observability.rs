@@ -10,6 +10,9 @@
 //!    sum to the op's end-to-end simulated time with a zero `other`
 //!    residual, and each breakdown total equals the TTS/TTR simulated
 //!    time the bench reports for that cell.
+//!    A `query` tiles the same way into `plan` / `catalog` / `join` /
+//!    `eval`, whether it scans the catalogue or fetches a probe's
+//!    candidates.
 //! 3. **Deterministic traces**: two runs of the same seeded scenario
 //!    produce the same ordered span sequence with the same simulated
 //!    durations, even across parallel worker lanes (only wall-clock
@@ -132,6 +135,66 @@ fn phases_tile_every_op_and_match_reported_sim_times() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn query_phases_tile_scans_and_probes() {
+    use mmm::core::approach::{ModelSetSaver, UpdateSaver};
+    use mmm::core::model_set::{Derivation, ModelSet};
+    use mmm::core::{branch, query, tags};
+    use mmm::dnn::TrainConfig;
+
+    let observer = Observer::new();
+    let dir = TempDir::new("it-obs-query").unwrap();
+    let env = ManagementEnv::builder(dir.path(), LatencyProfile::by_name("m1").unwrap())
+        .observer(observer.clone())
+        .open()
+        .unwrap();
+    let arch = Architectures::ffnn(4);
+    let models = (0..3).map(|i| arch.build(i).export_param_dict()).collect();
+    let mut set = ModelSet::new(arch, models);
+    let mut saver = UpdateSaver::new();
+    let mut ids = vec![saver.save_initial(&env, &set).unwrap()];
+    for _ in 0..3 {
+        set.models[0].layers[0].data[0] += 1.0;
+        let deriv = Derivation {
+            base: ids.last().unwrap().clone(),
+            train: TrainConfig::regression_default(0),
+            updates: vec![],
+        };
+        ids.push(saver.save_set(&env, &set, Some(&deriv)).unwrap());
+    }
+    tags::tag_set(&env, &ids[3], "prod").unwrap();
+    branch::fork(&env, &ids[2], 0, "trial").unwrap();
+
+    // A scan, a probe whose candidate needs a lineage walk, a probe
+    // with nothing behind it, and one that reads hash tables in both
+    // the join (the reference) and the evaluation (the candidates).
+    let similar = format!("branch:trial and similar-to({}, 0.5)", ids[0]);
+    for (ctx, expr) in [
+        ("scan", "depth >= 1"),
+        ("probe", "tag:prod"),
+        ("empty", "tag:none"),
+        ("similar", &similar),
+    ] {
+        observer.set_context(ctx);
+        let (out, m) = env.measure(|| query::run(&env, expr).unwrap());
+        assert_eq!(out.records.is_empty(), ctx == "empty", "{expr}");
+        let rows = observer.breakdown();
+        let row = rows
+            .iter()
+            .find(|row| row.ctx == ctx && row.op == "query")
+            .unwrap_or_else(|| panic!("no query row for {expr}"));
+        let names: Vec<&str> = row.phases.iter().map(|p| p.name).collect();
+        assert_eq!(names, ["plan", "catalog", "join", "eval"], "{expr}");
+        assert!(m.sim.as_nanos() > 0, "{expr} measured zero sim on m1");
+        assert_eq!(row.other_sim_ns, 0, "{expr} has unattributed sim time");
+        assert_eq!(
+            row.total_sim_ns,
+            m.sim.as_nanos() as u64,
+            "{expr}: total != measured sim"
+        );
     }
 }
 

@@ -6,10 +6,12 @@
 use std::time::Duration;
 
 use mmm::core::approach::{
-    BaselineSaver, MmlibBaseSaver, ModelSetSaver, UpdateSaver,
+    BaselineSaver, MmlibBaseSaver, ModelSetSaver, UpdateSaver, SETS_COLLECTION,
 };
+use mmm::core::commit::{self, COMMITS_COLLECTION};
 use mmm::core::env::ManagementEnv;
 use mmm::core::model_set::{Derivation, ModelSetId};
+use mmm::core::{branch, query, tags};
 use mmm::dnn::{Architectures, TrainConfig};
 use mmm::store::LatencyProfile;
 use mmm::util::TempDir;
@@ -120,4 +122,152 @@ fn measured_sim_is_the_clock_delta() {
     let (_, m) = env.measure(|| MmlibBaseSaver::new().save_initial(&env, &set).unwrap());
     assert!(m.sim > Duration::ZERO);
     assert_eq!(m.sim, env.clock().simulated() - before_sim);
+}
+
+/// What a request costs must not depend on what else the lake holds:
+/// the commit gate, a tag probe and a fork charge the same operations,
+/// bytes and simulated time beside two thousand unrelated commit
+/// records (or a thousand untagged sets) as beside none.
+#[test]
+fn request_cost_does_not_grow_with_the_lake() {
+    let dir = TempDir::new("it-flat").unwrap();
+    let env = ManagementEnv::open(dir.path(), LatencyProfile::m1()).unwrap();
+    let mut set = Fleet::initial(FleetConfig {
+        n_models: 6,
+        seed: 5,
+        arch: Architectures::ffnn(6),
+    })
+    .to_model_set();
+    // Burn a thousand document ids first: every set document and
+    // commit record of this test then has a four-digit id, so what a
+    // fork writes is the same size before and after the lake grows.
+    for collection in [SETS_COLLECTION, COMMITS_COLLECTION] {
+        for _ in 0..1_000 {
+            let id = env
+                .docs()
+                .insert(collection, serde_json::json!({}))
+                .unwrap();
+            env.docs().delete(collection, id).unwrap();
+        }
+    }
+    let baseline = BaselineSaver::new();
+    let mut update = UpdateSaver::new();
+    let full = baseline.clone().save_initial(&env, &set).unwrap();
+    let mut chain = vec![update.save_initial(&env, &set).unwrap()];
+    for _ in 0..2 {
+        set.models[1].layers[0].data[0] += 1.0;
+        let deriv = Derivation {
+            base: chain.last().unwrap().clone(),
+            train: TrainConfig::regression_default(0),
+            updates: vec![],
+        };
+        chain.push(update.save_set(&env, &set, Some(&deriv)).unwrap());
+    }
+    let head = chain.last().unwrap();
+    tags::tag_set(&env, head, "prod").unwrap();
+
+    let requests = |fork_as: &str| {
+        let cost = |f: &dyn Fn()| {
+            let ((), m) = env.measure(f);
+            (m.stats, m.sim)
+        };
+        let costs = vec![
+            cost(&|| drop(baseline.recover_set(&env, &full).unwrap())),
+            cost(&|| drop(update.recover_set(&env, head).unwrap())),
+            cost(&|| drop(update.recover_models(&env, head, &[0, 3]).unwrap())),
+            cost(&|| assert_eq!(query::run(&env, "tag:prod").unwrap().records.len(), 1)),
+            cost(&|| drop(branch::fork(&env, head, 1, fork_as).unwrap())),
+            cost(&|| drop(branch::diff(&env, &chain[0], head).unwrap())),
+        ];
+        // Leave the lake as the fork found it.
+        branch::delete_branch(&env, fork_as).unwrap();
+        costs
+    };
+
+    let alone = requests("a");
+    // Two thousand commit records of other sets, then a thousand
+    // untagged catalogued sets.
+    for i in 0..2_000 {
+        let record = serde_json::json!({"approach": "update", "set": format!("x{i}")});
+        env.docs().insert(COMMITS_COLLECTION, record).unwrap();
+    }
+    for _ in 0..1_000 {
+        let doc = serde_json::json!({"approach": "update", "kind": "full", "n_models": 1});
+        let key = env.docs().insert(SETS_COLLECTION, doc).unwrap().to_string();
+        commit::commit_save(
+            &env,
+            &ModelSetId {
+                approach: "update".into(),
+                key,
+            },
+        )
+        .unwrap();
+    }
+    let crowded = requests("b");
+    assert!(alone
+        .iter()
+        .all(|(stats, sim)| stats.total_ops() > 0 && *sim > Duration::ZERO));
+    assert_eq!(
+        alone, crowded,
+        "a request's cost followed the size of the lake"
+    );
+}
+
+/// What lineage costs a probe: one by-ids find per chain level its
+/// deepest candidate sits above a full save, plus one commit lookup once
+/// an ancestor needs vouching for — beside the scan's flat seven
+/// operations. Under m1 a round-trip outweighs megabytes, so a probe
+/// deeper than one level reads fewer bytes than the scan and still costs
+/// more simulated time. Charged operations, bytes and simulated time
+/// only; no wall clock.
+#[test]
+fn a_probe_pays_one_round_trip_per_chain_level() {
+    let dir = TempDir::new("it-deep").unwrap();
+    let env = ManagementEnv::open(dir.path(), LatencyProfile::m1()).unwrap();
+    let catalogue = |doc: serde_json::Value| {
+        let key = env.docs().insert(SETS_COLLECTION, doc).unwrap().to_string();
+        let id = ModelSetId {
+            approach: "update".into(),
+            key,
+        };
+        commit::commit_save(&env, &id).unwrap();
+        id
+    };
+    // One chain, ten sets long, every set tagged with its depth.
+    let mut base: Option<String> = None;
+    for depth in 0..10 {
+        let doc = match &base {
+            None => serde_json::json!({"approach": "update", "kind": "full", "n_models": 1}),
+            Some(base) => serde_json::json!({
+                "approach": "update", "kind": "diff", "n_models": 1, "base": base,
+            }),
+        };
+        let id = catalogue(doc);
+        tags::tag_set(&env, &id, &format!("d{depth}")).unwrap();
+        base = Some(id.key);
+    }
+    // And a lake around it.
+    for _ in 0..200 {
+        catalogue(serde_json::json!({"approach": "update", "kind": "full", "n_models": 1}));
+    }
+
+    let cost = |expr: &str| {
+        let (out, m) = env.measure(|| query::run(&env, expr).unwrap());
+        (out, m.stats, m.sim)
+    };
+    let (all, scan, scan_sim) = cost("true");
+    assert_eq!((all.records.len(), scan.total_ops()), (210, 7));
+    for depth in 0..10 {
+        let (out, probe, probe_sim) = cost(&format!("tag:d{depth}"));
+        assert_eq!((out.records.len(), out.scanned), (1, 1));
+        assert_eq!(out.records[0].depth, depth);
+        let lineage_ops = depth + usize::from(depth >= 2);
+        assert_eq!(probe.total_ops() as usize, 5 + lineage_ops, "depth {depth}");
+        assert!(probe.bytes_read < scan.bytes_read / 5, "depth {depth}");
+        assert_eq!(
+            probe_sim < scan_sim,
+            depth <= 1,
+            "depth {depth}: round-trips decide under m1"
+        );
+    }
 }
