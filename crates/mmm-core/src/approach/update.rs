@@ -16,6 +16,7 @@
 //! approach" — implemented here as [`UpdateSaver::with_full_snapshot_every`].
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::approach::common::{self, FullSnapshot, Slots};
 use crate::approach::ModelSetSaver;
@@ -25,10 +26,11 @@ use crate::env::ManagementEnv;
 use crate::layout;
 use crate::model_set::{Derivation, ModelSet, ModelSetId};
 use crate::param_codec::{
-    decode_diff, decode_diff_compressed, decode_hashes, encode_diff, encode_diff_compressed,
-    encode_hashes, CompressedDiffEntry, DiffEntry,
+    decode_hashes, diff_directory_len, encode_diff, encode_diff_compressed, encode_hashes,
+    parse_diff_directory, CompressedDiffEntry, DiffEntry, DiffSlot,
 };
 use mmm_dnn::ParamDict;
+use mmm_store::BlobBytes;
 use mmm_util::{parallel, Error, Result};
 use serde_json::{json, Value};
 
@@ -122,7 +124,8 @@ impl UpdateSaver {
     /// Whole-set (`None`) or selective recovery through the shared
     /// chain skeleton: ranged reads of the selected models from the
     /// chain's full snapshot, then diff replay filtered to those models
-    /// — `k/n` of the snapshot plus the (small) diff blobs.
+    /// — `k/n` of the snapshot plus each level's diff directory and the
+    /// diff entries of the selected models.
     fn recover(
         &self,
         env: &ManagementEnv,
@@ -135,8 +138,8 @@ impl UpdateSaver {
             id,
             indices,
             parse_diff_level,
-            |_arch, models, slots, doc_id, compressed| {
-                apply_diff_level(env, models, slots, doc_id, *compressed)
+            |_arch, models, slots, doc_id, level| {
+                apply_diff_level(env, models, slots, doc_id, *level)
             },
         )
     }
@@ -321,8 +324,8 @@ impl UpdateSaver {
             };
             cache.entry(walk.end).or_insert_with(|| set.clone());
             let slots = Slots::All(set.len());
-            for &(doc_id, compressed) in walk.chain.iter().rev() {
-                apply_diff_level(env, &mut set.models, &slots, doc_id, compressed)?;
+            for &(doc_id, level) in walk.chain.iter().rev() {
+                apply_diff_level(env, &mut set.models, &slots, doc_id, level)?;
                 cache.insert(doc_id, set.clone());
             }
             out.push(set);
@@ -331,91 +334,147 @@ impl UpdateSaver {
     }
 }
 
-/// Parse one derived level's set document: is its diff blob compressed?
-fn parse_diff_level(doc: &Value) -> Result<bool> {
-    match doc.get("kind").and_then(Value::as_str) {
-        Some("diff") => Ok(false),
-        Some("diffz") => Ok(true),
-        other => Err(Error::corrupt(format!("unknown set kind {other:?}"))),
-    }
+/// Parse one derived level's set document: is its diff blob
+/// compressed, and how many entries does its directory list?
+fn parse_diff_level(doc: &Value) -> Result<(bool, usize)> {
+    let compressed = match doc.get("kind").and_then(Value::as_str) {
+        Some("diff") => false,
+        Some("diffz") => true,
+        other => return Err(Error::corrupt(format!("unknown set kind {other:?}"))),
+    };
+    let n_entries = doc
+        .get("n_changed_layers")
+        .and_then(Value::as_u64)
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| Error::corrupt("diff set document without n_changed_layers"))?;
+    Ok((compressed, n_entries))
 }
 
 /// Apply one chain level's diff blob, in place, to the models `slots`
-/// holds; entries for models outside the selection are skipped unread.
-/// `models` holds exactly the level the deltas were computed against.
+/// holds. The blob's directory says where each entry's payload lies. A
+/// whole-set replay maps the blob once and reads every entry straight
+/// from the map. A selection reads the directory with one ranged get,
+/// then each run of adjacent selected entries with one more, so entries
+/// of unselected models are never fetched. `models` holds exactly the
+/// level the deltas were computed against.
 fn apply_diff_level(
     env: &ManagementEnv,
     models: &mut [ParamDict],
     slots: &Slots,
     doc_id: u64,
-    compressed: bool,
+    (compressed, n_entries): (bool, usize),
 ) -> Result<()> {
     let _span = env.obs().span("diff_apply");
-    let blob = env.blobs().get(&layout::diff_key(doc_id))?;
-    let entries: Vec<(usize, DiffEntry)> = if compressed {
-        // XOR-decompress every selected entry against the (read-only)
-        // base level across the thread budget, then apply the writes
-        // sequentially below. Entry order follows the blob, so results
-        // are identical for every thread count.
-        let picked = select(slots, decode_diff_compressed(&blob)?, |e| e.model_idx)?;
+    let key = layout::diff_key(doc_id);
+    // Byte pieces of the blob, by start offset, covering every picked entry.
+    let (picked, pieces) = match slots {
+        Slots::All(_) => {
+            let blob = env.blobs().get_mapped(&key)?;
+            let dir = parse_diff_directory(&blob, compressed, blob.len() as u64)?;
+            (pick(slots, n_entries, dir)?, vec![(0, blob)])
+        }
+        Slots::Picked(_) => {
+            // The size is metadata (uncharged): checking the directory
+            // against it keeps a truncated or inflated blob `Corrupt`.
+            let size = env.blobs().size(&key)?;
+            let head_len = (diff_directory_len(n_entries)? as u64).min(size) as usize;
+            let head = env.blobs().get_range(&key, 0, head_len)?;
+            let dir = parse_diff_directory(&head, compressed, size)?;
+            let picked = pick(slots, n_entries, dir)?;
+            let runs = runs(&picked);
+            let pieces = env.run_parallel(runs.len(), |r| {
+                let run = &runs[r];
+                let bytes = env.blobs().get_range(&key, run.start as u64, run.len())?;
+                Ok((run.start, BlobBytes::from_vec(bytes)))
+            })?;
+            (picked, pieces)
+        }
+    };
+    // Every picked entry lies inside one piece: the map, or its run. A
+    // short read leaves it outside.
+    let payload = |e: &DiffSlot| -> Result<&[u8]> {
+        let p = pieces.partition_point(|(start, _)| *start <= e.range.start);
+        p.checked_sub(1)
+            .map(|p| &pieces[p])
+            .and_then(|(start, bytes)| bytes.get(e.range.start - start..e.range.end - start))
+            .ok_or_else(|| Error::corrupt("diff entry past the bytes read"))
+    };
+    // XOR-decompress the picked entries against the (read-only) base
+    // level across the thread budget. The writes below are sequential
+    // and follow the blob, so results are identical for every thread
+    // count; a plain entry is copied straight into the layer it
+    // overwrites.
+    let mut decompressed = if compressed {
+        let base: &[ParamDict] = models;
         parallel::try_map(env.threads(), picked.len(), |i| {
-            let (
-                slot,
-                CompressedDiffEntry {
-                    model_idx,
-                    layer_idx,
-                    blob,
-                },
-            ) = &picked[i];
-            let base = models[*slot]
+            let (slot, e) = &picked[i];
+            let layer = base[*slot]
                 .layers
-                .get(*layer_idx as usize)
-                .ok_or_else(|| layer_out_of_range(*model_idx, *layer_idx))?;
-            let data = decompress_delta(&base.data, blob)?;
-            Ok((
-                *slot,
-                DiffEntry {
-                    model_idx: *model_idx,
-                    layer_idx: *layer_idx,
-                    data,
-                },
-            ))
+                .get(e.layer_idx as usize)
+                .ok_or_else(|| layer_out_of_range(e.model_idx, e.layer_idx))?;
+            decompress_delta(&layer.data, payload(e)?)
         })?
     } else {
-        select(slots, decode_diff(&blob)?, |e| e.model_idx)?
-    };
-    for (slot, e) in entries {
-        let layer = models[slot]
+        Vec::new()
+    }
+    .into_iter();
+    for (slot, e) in &picked {
+        let layer = models[*slot]
             .layers
             .get_mut(e.layer_idx as usize)
             .ok_or_else(|| layer_out_of_range(e.model_idx, e.layer_idx))?;
-        if layer.data.len() != e.data.len() {
+        if let Some(data) = decompressed.next() {
+            // `decompress_delta` sized it from this very layer.
+            layer.data = data;
+            continue;
+        }
+        let bytes = payload(e)?;
+        if bytes.len() != 4 * layer.data.len() {
             return Err(Error::corrupt(format!(
                 "diff entry for model {} layer {} has {} params, expected {}",
                 e.model_idx,
                 e.layer_idx,
-                e.data.len(),
+                bytes.len() / 4,
                 layer.data.len()
             )));
         }
-        layer.data = e.data;
+        for (v, b) in layer.data.iter_mut().zip(bytes.chunks_exact(4)) {
+            *v = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        }
     }
     Ok(())
 }
 
-/// Pair each diff entry whose model is being recovered with its slot.
-fn select<E>(
-    slots: &Slots,
-    entries: Vec<E>,
-    model_idx: impl Fn(&E) -> u32,
-) -> Result<Vec<(usize, E)>> {
-    let mut picked = Vec::with_capacity(entries.len());
-    for e in entries {
-        if let Some(slot) = slots.of(model_idx(&e) as usize)? {
+/// The directory entries whose model is being recovered, each with its
+/// slot. The directory must list exactly the `n_entries` its set
+/// document counted.
+fn pick(slots: &Slots, n_entries: usize, dir: Vec<DiffSlot>) -> Result<Vec<(usize, DiffSlot)>> {
+    if dir.len() != n_entries {
+        return Err(Error::corrupt(format!(
+            "diff directory lists {} entries, its set document {n_entries}",
+            dir.len()
+        )));
+    }
+    let mut picked = Vec::new();
+    for e in dir {
+        if let Some(slot) = slots.of(e.model_idx as usize)? {
             picked.push((slot, e));
         }
     }
     Ok(picked)
+}
+
+/// Byte ranges covering `picked`, in blob order: entries that are
+/// adjacent in the blob share one range.
+fn runs(picked: &[(usize, DiffSlot)]) -> Vec<Range<usize>> {
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for (_, e) in picked {
+        match runs.last_mut() {
+            Some(run) if run.end == e.range.start => run.end = e.range.end,
+            _ => runs.push(e.range.clone()),
+        }
+    }
+    runs
 }
 
 fn layer_out_of_range(model_idx: u32, layer_idx: u32) -> Error {
@@ -794,6 +853,81 @@ mod tests {
             )
             .unwrap();
         assert!(saver.recover_models(&env, &id1, &[0]).is_ok());
+    }
+
+    /// Damage on the diff read path comes back as `Corrupt`, never as a
+    /// panic or as the `Invalid` of an out-of-range ranged read, in
+    /// whole and selective recovery alike: a bit-flipped read (`Ok` is
+    /// allowed there, since the format has no checksum to see a flip
+    /// in a payload), a directory whose count disagrees with the set
+    /// document, entries that run past the blob, and trailing bytes.
+    /// The fault injector turns a torn read into a failed one, so that
+    /// case must fail as an I/O error.
+    #[test]
+    fn damaged_diff_reads_are_corrupt_never_a_panic() {
+        use mmm_store::{FaultMode, FaultPlan, FaultTarget, OpClass};
+        for compressed in [false, true] {
+            let (_d, env) = env();
+            let mut saver = UpdateSaver::new();
+            if compressed {
+                saver = saver.with_delta_compression();
+            }
+            let s0 = set(8, 40);
+            let id0 = saver.save_initial(&env, &s0).unwrap();
+            let s1 = mutate_sparse(&mutate(&s0, &[2], &[6]), 5, 3);
+            let id1 = saver.save_set(&env, &s1, Some(&deriv(&id0))).unwrap();
+            let pick = [5, 0, 2];
+            let whole = || saver.recover_set(&env, &id1).map(|s| s.models);
+            let selective = || saver.recover_models(&env, &id1, &pick);
+            let picked: Vec<ParamDict> = pick.iter().map(|&i| s1.models[i].clone()).collect();
+            assert_eq!(whole().unwrap(), s1.models);
+            assert_eq!(selective().unwrap(), picked);
+
+            let recoveries: [&dyn Fn() -> Result<Vec<ParamDict>>; 2] = [&whole, &selective];
+            for recover in recoveries {
+                let (_, m) = env.measure(recover);
+                for k in 0..m.stats.blob_gets {
+                    let get = FaultTarget::Class(OpClass::BlobGet);
+                    for plan in [
+                        FaultPlan::torn_write_at(get, k, 3),
+                        FaultPlan::bit_flip_at(get, k, 1, k),
+                    ] {
+                        env.faults().arm(plan);
+                        let got = recover();
+                        env.faults().disarm_all();
+                        match (got, plan.mode) {
+                            (Ok(_) | Err(Error::Corrupt(_)), FaultMode::BitFlip { .. }) => {}
+                            (Err(Error::Io(_)), FaultMode::TornWrite { .. }) => {}
+                            (got, mode) => panic!("{mode:?} at get {k}: {got:?}"),
+                        }
+                    }
+                }
+            }
+
+            let key = layout::diff_key(common::doc_id_of(&id1).unwrap());
+            let blob = env.blobs().get(&key).unwrap();
+            let dir = parse_diff_directory(&blob, compressed, blob.len() as u64).unwrap();
+            let n = dir.len();
+            // A well-formed directory one entry short of the document's count.
+            let mut short = blob[..4].to_vec();
+            short.extend_from_slice(&(n as u32 - 1).to_le_bytes());
+            short.extend_from_slice(&blob[8..8 + 12 * (n - 1)]);
+            short.extend_from_slice(&blob[8 + 12 * n..dir[n - 1].range.start]);
+            // The last entry claims one more element than the blob holds.
+            let mut past_end = blob.clone();
+            let count = 8 + 12 * (n - 1) + 8;
+            let claimed = u32::from_le_bytes(blob[count..count + 4].try_into().unwrap()) + 1;
+            past_end[count..count + 4].copy_from_slice(&claimed.to_le_bytes());
+            let truncated = blob[..blob.len() - 1].to_vec();
+            let trailing = [&blob[..], &[0]].concat();
+            for bad in [short, past_end, truncated, trailing] {
+                env.blobs().put(&key, &bad).unwrap();
+                for recover in recoveries {
+                    let got = recover();
+                    assert!(matches!(got, Err(Error::Corrupt(_))), "got {got:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! * **Diff file** (Update, §3.3): the changed-layer list plus the
 //!   changed layers' parameters concatenated.
 
+use std::ops::Range;
+
 use mmm_dnn::{LayerParams, ParamDict};
 use mmm_util::codec::{put_f32_slice, put_str, put_u32, put_u64, Reader};
 use mmm_util::{mem, Error, Result};
@@ -350,28 +352,79 @@ pub fn encode_diff(entries: &[DiffEntry]) -> Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Decode a diff file.
-pub fn decode_diff(bytes: &[u8]) -> Result<Vec<DiffEntry>> {
-    let mut r = Reader::new(bytes);
-    if r.bytes(4)? != b"DIFF" {
+/// One entry of a diff directory: the layer it overwrites and the byte
+/// range of its payload within the whole diff blob.
+#[derive(Debug)]
+pub(crate) struct DiffSlot {
+    pub model_idx: u32,
+    pub layer_idx: u32,
+    pub range: Range<usize>,
+}
+
+/// Bytes of the directory of an `n`-entry diff: magic, count, and one
+/// head record per entry. Payloads start right after it.
+pub(crate) fn diff_directory_len(n: usize) -> Result<usize> {
+    n.checked_mul(DIFF_HEAD_BYTES)
+        .and_then(|b| b.checked_add(8))
+        .ok_or_else(|| Error::corrupt(format!("diff of {n} entries overflows its directory")))
+}
+
+/// Parse the directory every diff blob (`DIFF`, or `DIFZ` if
+/// `compressed`) starts with: each entry's payload starts where the
+/// previous one ends, so its offset is a prefix sum over the head
+/// records. `head` is at least the directory (a ranged read of it, or
+/// the whole blob); `blob_len` is the whole blob's length, which the
+/// directory and payloads must tile exactly — so once this returns,
+/// every [`DiffSlot::range`] lies inside the blob. `Corrupt` otherwise,
+/// never a panic.
+pub(crate) fn parse_diff_directory(
+    head: &[u8],
+    compressed: bool,
+    blob_len: u64,
+) -> Result<Vec<DiffSlot>> {
+    let magic = if compressed { b"DIFZ" } else { b"DIFF" };
+    let mut r = Reader::new(head);
+    if r.bytes(4)? != magic {
         return Err(Error::corrupt("bad diff magic"));
     }
     let n = r.u32_count(DIFF_HEAD_BYTES)?;
-    let mut heads = Vec::with_capacity(n);
-    for _ in 0..n {
-        let model_idx = r.u32()?;
-        let layer_idx = r.u32()?;
-        let count = r.u32()? as usize; // f32_slice re-validates below
-        heads.push((model_idx, layer_idx, count));
-    }
+    let mut end = diff_directory_len(n)?;
     let mut out = Vec::with_capacity(n);
-    for (model_idx, layer_idx, count) in heads {
-        out.push(DiffEntry { model_idx, layer_idx, data: r.f32_slice(count)? });
+    for _ in 0..n {
+        let (model_idx, layer_idx, count) = (r.u32()?, r.u32()?, r.u32()? as usize);
+        // A plain entry counts f32s, a compressed one bytes.
+        let start = end;
+        end = count
+            .checked_mul(if compressed { 1 } else { 4 })
+            .and_then(|len| start.checked_add(len))
+            .ok_or_else(|| Error::corrupt("diff entry lengths overflow"))?;
+        out.push(DiffSlot {
+            model_idx,
+            layer_idx,
+            range: start..end,
+        });
     }
-    if r.remaining() != 0 {
-        return Err(Error::corrupt("trailing bytes after diff data"));
+    if end as u64 != blob_len {
+        return Err(Error::corrupt(format!(
+            "diff directory spans {end} bytes, but the blob has {blob_len}"
+        )));
     }
     Ok(out)
+}
+
+/// Decode a diff file.
+pub fn decode_diff(bytes: &[u8]) -> Result<Vec<DiffEntry>> {
+    parse_diff_directory(bytes, false, bytes.len() as u64)?
+        .into_iter()
+        .map(|e| {
+            let data = Reader::new(&bytes[e.range.clone()]).f32_slice(e.range.len() / 4)?;
+            Ok(DiffEntry {
+                model_idx: e.model_idx,
+                layer_idx: e.layer_idx,
+                data,
+            })
+        })
+        .collect()
 }
 
 /// One delta-compressed changed layer (Update's §4.5 compression
@@ -419,30 +472,15 @@ pub fn encode_diff_compressed(entries: &[CompressedDiffEntry]) -> Result<Vec<u8>
 
 /// Decode a compressed diff file.
 pub fn decode_diff_compressed(bytes: &[u8]) -> Result<Vec<CompressedDiffEntry>> {
-    let mut r = Reader::new(bytes);
-    if r.bytes(4)? != b"DIFZ" {
-        return Err(Error::corrupt("bad compressed-diff magic"));
-    }
-    let n = r.u32_count(DIFF_HEAD_BYTES)?;
-    let mut heads = Vec::with_capacity(n);
-    for _ in 0..n {
-        let model_idx = r.u32()?;
-        let layer_idx = r.u32()?;
-        let len = r.u32()? as usize; // bytes() re-validates below
-        heads.push((model_idx, layer_idx, len));
-    }
-    let mut out = Vec::with_capacity(n);
-    for (model_idx, layer_idx, len) in heads {
-        out.push(CompressedDiffEntry {
-            model_idx,
-            layer_idx,
-            blob: r.bytes(len)?.to_vec(),
-        });
-    }
-    if r.remaining() != 0 {
-        return Err(Error::corrupt("trailing bytes after compressed diff data"));
-    }
-    Ok(out)
+    let dir = parse_diff_directory(bytes, true, bytes.len() as u64)?;
+    Ok(dir
+        .into_iter()
+        .map(|e| CompressedDiffEntry {
+            model_idx: e.model_idx,
+            layer_idx: e.layer_idx,
+            blob: bytes[e.range].to_vec(),
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -564,6 +602,58 @@ mod tests {
         let entries = vec![DiffEntry { model_idx: 0, layer_idx: 0, data: vec![1.0; 10] }];
         let blob = encode_diff(&entries).unwrap();
         assert!(decode_diff(&blob[..blob.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn diff_directory_is_a_prefix_sum_over_the_head_records() {
+        let entries = vec![
+            DiffEntry {
+                model_idx: 4,
+                layer_idx: 1,
+                data: vec![1.0; 3],
+            },
+            DiffEntry {
+                model_idx: 4,
+                layer_idx: 2,
+                data: vec![],
+            },
+            DiffEntry {
+                model_idx: 9,
+                layer_idx: 0,
+                data: vec![2.5; 5],
+            },
+        ];
+        let blob = encode_diff(&entries).unwrap();
+        let head = diff_directory_len(entries.len()).unwrap();
+        assert_eq!(head, 8 + 12 * 3);
+        // The directory alone, checked against the whole blob's length,
+        // locates every payload.
+        let dir = parse_diff_directory(&blob[..head], false, blob.len() as u64).unwrap();
+        assert_eq!(
+            dir.iter().map(|e| e.range.clone()).collect::<Vec<_>>(),
+            [44..56, 56..56, 56..76]
+        );
+        for (e, want) in dir.iter().zip(&entries) {
+            assert_eq!((e.model_idx, e.layer_idx), (want.model_idx, want.layer_idx));
+            assert_eq!(
+                blob[e.range.clone()],
+                encode_diff(std::slice::from_ref(want)).unwrap()[20..]
+            );
+        }
+        // A short directory, or payloads that do not tile the blob, are
+        // corrupt; so is the other format's magic.
+        for (bytes, len) in [
+            (&blob[..head - 1], blob.len()),
+            (&blob[..head], blob.len() - 4),
+            (&blob[..], blob.len() + 1),
+        ] {
+            let err = parse_diff_directory(bytes, false, len as u64).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "got {err:?}");
+        }
+        assert!(matches!(
+            parse_diff_directory(&blob, true, blob.len() as u64),
+            Err(Error::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -720,6 +810,16 @@ mod tests {
             let _ = decode_diff(&diff[..cut.min(diff.len())]);
             let difz = encode_diff_compressed(&[CompressedDiffEntry { model_idx: 0, layer_idx: 1, blob: vec![7; 9] }]).unwrap();
             let _ = decode_diff_compressed(&difz[..cut.min(difz.len())]);
+            // The directory parser behind both: a cut read of the
+            // directory, or a cut blob, is `Corrupt` — never a panic.
+            for (blob, compressed) in [(&diff, false), (&difz, true)] {
+                let cut = cut.min(blob.len());
+                for (head, len) in [(&blob[..cut], blob.len()), (&blob[..cut], cut)] {
+                    let parsed = parse_diff_directory(head, compressed, len as u64);
+                    prop_assert!(matches!(parsed, Ok(_) | Err(Error::Corrupt(_))), "{parsed:?}");
+                    prop_assert!(parsed.is_err() || cut == blob.len() || (cut >= 20 && len == blob.len()));
+                }
+            }
         }
 
         /// Overwriting the length prefix of a valid blob with an
@@ -742,6 +842,14 @@ mod tests {
             let claimed = (inflate as u32).max(2);
             diff[4..8].copy_from_slice(&claimed.to_le_bytes());
             prop_assert!(decode_diff(&diff).is_err());
+            let parsed = parse_diff_directory(&diff, false, diff.len() as u64);
+            prop_assert!(matches!(parsed, Err(Error::Corrupt(_))), "{parsed:?}");
+            // Diff: the element count of the one entry, at offset 16.
+            diff[4..8].copy_from_slice(&1u32.to_le_bytes());
+            diff[16..20].copy_from_slice(&(inflate as u32).max(5).to_le_bytes());
+            prop_assert!(decode_diff(&diff).is_err());
+            let parsed = parse_diff_directory(&diff[..20], false, diff.len() as u64);
+            prop_assert!(matches!(parsed, Err(Error::Corrupt(_))), "{parsed:?}");
         }
 
         /// Arbitrary single-byte corruption anywhere in a diff or hash
@@ -755,6 +863,10 @@ mod tests {
             if pos < diff.len() {
                 diff[pos] ^= xor;
                 let _ = decode_diff(&diff);
+                for head in [&diff[..], &diff[..diff.len().min(32)]] {
+                    let parsed = parse_diff_directory(head, false, diff.len() as u64);
+                    prop_assert!(matches!(parsed, Ok(_) | Err(Error::Corrupt(_))), "{parsed:?}");
+                }
             }
             let mut hashes = encode_hashes(&[vec![9, 8, 7]]);
             let hpos = pos % hashes.len();

@@ -4,13 +4,14 @@
 //! fraction of the transfer/compute cost.
 
 use mmm::core::approach::{
-    BaselineSaver, MmlibBaseSaver, ModelSetSaver, ProvenanceSaver, UpdateSaver,
+    ApproachSpec, BaselineSaver, MmlibBaseSaver, ModelSetSaver, ProvenanceSaver, UpdateSaver,
 };
 use mmm::core::env::ManagementEnv;
-use mmm::core::model_set::ModelSetId;
-use mmm::dnn::Architectures;
-use mmm::store::LatencyProfile;
-use mmm::util::TempDir;
+use mmm::core::model_set::{Derivation, ModelSet, ModelSetId};
+use mmm::core::{branch, tiering};
+use mmm::dnn::{Architectures, TrainConfig};
+use mmm::store::{LatencyProfile, StorageBackend};
+use mmm::util::{Rng, SplitMix64, TempDir};
 use mmm::workload::{DataSource, Fleet, FleetConfig, UpdatePolicy};
 
 const N: usize = 30;
@@ -114,4 +115,103 @@ fn order_and_duplicates_are_respected() {
     assert_eq!(picked[0], snapshots[0].models()[5]);
     assert_eq!(picked[1], snapshots[0].models()[1]);
     assert_eq!(picked[2], picked[0]);
+}
+
+/// Shift every third parameter of `k` random models, either in every
+/// layer or in one random layer (sparse, so XOR deltas have zero runs).
+fn perturb(set: &ModelSet, rng: &mut SplitMix64, k: usize) -> ModelSet {
+    let mut s = set.clone();
+    for _ in 0..k {
+        let m = rng.below(s.len() as u64) as usize;
+        let n_layers = s.models[m].layers.len() as u64;
+        let only = (rng.below(2) == 0).then(|| rng.below(n_layers) as usize);
+        for (l, layer) in s.models[m].layers.iter_mut().enumerate() {
+            if only.is_none_or(|o| o == l) {
+                layer.data.iter_mut().step_by(3).for_each(|v| *v += 0.5);
+            }
+        }
+    }
+    s
+}
+
+/// An Update chain eight levels deep: seven derived saves and, at depth
+/// four, a fork node (a diff with no entries) that the chain continues
+/// from. Returns every node's id and the set it holds.
+fn update_chain(
+    env: &ManagementEnv,
+    spec: &str,
+    rng: &mut SplitMix64,
+) -> Vec<(ModelSetId, ModelSet)> {
+    let arch = Architectures::ffnn(6);
+    let models = (0..N)
+        .map(|i| arch.build(100 + i as u64).export_param_dict())
+        .collect();
+    let mut set = ModelSet::new(arch, models);
+    let mut saver = ApproachSpec::parse(spec).unwrap().build();
+    let mut chain = vec![(saver.save_initial(env, &set).unwrap(), set.clone())];
+    for depth in 1..=8 {
+        let base = chain.last().unwrap().0.clone();
+        let id = if depth == 4 {
+            branch::fork(env, &base, 0, "side").unwrap().head
+        } else {
+            let k = 1 + rng.below(4) as usize;
+            set = perturb(&set, rng, k);
+            let deriv = Derivation {
+                base,
+                train: TrainConfig::regression_default(0),
+                updates: vec![],
+            };
+            saver.save_set(env, &set, Some(&deriv)).unwrap()
+        };
+        chain.push((id, set.clone()));
+    }
+    chain
+}
+
+/// The equivalence law of selective recovery: recovering `picks` gives
+/// exactly `picks` mapped over the whole recovered set — for every
+/// chain node, on every backend, with and without delta compression
+/// and intermediate snapshots, at one and at four threads.
+#[test]
+fn selective_recovery_equals_the_whole_set_indexed_by_the_picks() {
+    for backend in [
+        StorageBackend::Plain,
+        StorageBackend::Cas,
+        StorageBackend::Tiered,
+    ] {
+        for spec in ["update", "update:delta", "update:snapshot-every=3"] {
+            for threads in [1, 4] {
+                let what = format!("{} {spec} threads={threads}", backend.name());
+                let dir = TempDir::new("it-selective-law").unwrap();
+                let env = ManagementEnv::builder(dir.path(), LatencyProfile::zero())
+                    .backend(backend)
+                    .threads(threads)
+                    .open()
+                    .unwrap();
+                let mut rng = SplitMix64::new(threads as u64);
+                let chain = update_chain(&env, spec, &mut rng);
+                if backend == StorageBackend::Tiered {
+                    // Older levels are then read from the cold tier.
+                    let ids: Vec<ModelSetId> = chain.iter().map(|(id, _)| id.clone()).collect();
+                    tiering::demote_old_sets(&env, &ids, 3).unwrap();
+                }
+                let saver = ApproachSpec::parse(spec).unwrap().build();
+                for (depth, (id, truth)) in chain.iter().enumerate() {
+                    let whole = saver.recover_set(&env, id).unwrap();
+                    assert_eq!(&whole, truth, "{what} depth {depth}");
+                    let random: Vec<usize> = (0..1 + rng.below(2 * N as u64))
+                        .map(|_| rng.below(N as u64) as usize)
+                        .collect();
+                    let one = vec![rng.below(N as u64) as usize];
+                    let every: Vec<usize> = (0..N).collect();
+                    let backwards: Vec<usize> = (0..N).rev().collect();
+                    for picks in [random, one, every, backwards] {
+                        let got = saver.recover_models(&env, id, &picks).unwrap();
+                        let want: Vec<_> = picks.iter().map(|&i| whole.models[i].clone()).collect();
+                        assert!(got == want, "{what} depth {depth} picks {picks:?}");
+                    }
+                }
+            }
+        }
+    }
 }

@@ -271,3 +271,52 @@ fn a_probe_pays_one_round_trip_per_chain_level() {
         );
     }
 }
+
+/// What a selection reads follows what it returns, not what else each
+/// chain level changed. At depth four, recovering two models costs the
+/// same blob operations and the same payload bytes whether every level
+/// also rewrote 2 or 100 other models; only the diff directory, 12
+/// bytes an entry, grows with them. Per level that is one read of the directory
+/// plus one ranged read per selected model the level changed. Charged
+/// stats only; no wall clock.
+#[test]
+fn a_selection_reads_only_the_diff_entries_it_returns() {
+    const PICKS: [usize; 2] = [3, 7];
+    const LEVELS: usize = 4;
+    let cost = |unselected: usize| {
+        let dir = TempDir::new("it-select-shape").unwrap();
+        let env = ManagementEnv::open(dir.path(), LatencyProfile::m1()).unwrap();
+        let mut set = fleet().to_model_set();
+        let mut update = UpdateSaver::new();
+        let mut chain = vec![update.save_initial(&env, &set).unwrap()];
+        for level in 0..LEVELS {
+            // Model 3 changes at every level, model 7 at none.
+            for i in std::iter::once(3).chain(10..10 + unselected) {
+                set.models[i].layers[1].data[level] += 1.0;
+            }
+            let deriv = Derivation {
+                base: chain.last().unwrap().clone(),
+                train: TrainConfig::regression_default(0),
+                updates: vec![],
+            };
+            chain.push(update.save_set(&env, &set, Some(&deriv)).unwrap());
+        }
+        let head = chain.last().unwrap();
+        let (got, m) = env.measure(|| update.recover_models(&env, head, &PICKS).unwrap());
+        assert_eq!(got, PICKS.map(|i| set.models[i].clone()));
+        m.stats
+    };
+    let (few, many) = (cost(2), cost(100));
+    assert_eq!(few.total_ops(), many.total_ops());
+    assert_eq!(few.blob_gets, many.blob_gets);
+    // One ranged get per picked model of the base snapshot, then per
+    // level the directory and the one run of model 3's entry.
+    assert_eq!(few.blob_gets as usize, PICKS.len() + LEVELS * 2);
+    // The extra bytes are each level's 98 more directory entries and
+    // the two more digits of its document's `n_changed_layers`; no
+    // payload byte of an unselected model is read.
+    assert_eq!(
+        many.bytes_read - few.bytes_read,
+        (LEVELS * (12 * 98 + 2)) as u64
+    );
+}
