@@ -110,18 +110,19 @@ fn parse_branch_doc(doc_id: u64, doc: &Value) -> Result<Branch> {
 /// left by a crash mid-advance (harmless; cleaned up on the next
 /// advance or delete).
 pub fn branches(env: &ManagementEnv) -> Result<Vec<Branch>> {
-    let docs = env.docs().all(BRANCHES_COLLECTION)?;
-    let heads: Vec<ModelSetId> = docs
-        .iter()
-        .map(|(doc_id, _)| branch_commit_id(*doc_id))
-        .collect();
-    let committed = commit::committed_among(env, &heads)?;
+    // Parsed in the scan; a parse error matters only for a committed head.
+    let mut docs = Vec::new();
+    env.docs().visit(BRANCHES_COLLECTION, |doc_id, doc| {
+        docs.push((branch_commit_id(doc_id), parse_branch_doc(doc_id, doc)));
+        true
+    })?;
+    let committed = commit::committed_among(env, docs.iter().map(|(head, _)| head))?;
     let mut latest: BTreeMap<String, Branch> = BTreeMap::new();
-    for ((doc_id, doc), head) in docs.iter().zip(heads) {
+    for (head, parsed) in docs {
         if !committed.contains(&(head.approach, head.key)) {
             continue;
         }
-        let b = parse_branch_doc(*doc_id, doc)?;
+        let b = parsed?;
         match latest.get(&b.name) {
             Some(cur) if cur.doc_id >= b.doc_id => {}
             _ => {

@@ -174,20 +174,25 @@ pub fn list_sets(env: &ManagementEnv) -> Result<Vec<SetSummary>> {
     // blobs (best-effort, as above).
     let blobs_of = |approach: &str| layout::blobs_by_dir(env, approach).unwrap_or_default();
 
-    // Set-oriented approaches: one document per set.
+    // Set-oriented approaches: one document per set, read in place by
+    // one find per approach. Blobs are stat-ed after the scan has let
+    // go of the collection.
     for approach in SET_APPROACHES {
-        let docs = env
-            .docs()
-            .find_eq(common::SETS_COLLECTION, "approach", &Value::String(approach.into()))?;
-        let mut blobs = None;
-        for (doc_id, doc) in docs {
-            if !committed.contains(&(approach.to_string(), doc_id.to_string())) {
-                continue;
+        let mut rows = Vec::new();
+        env.docs().visit(common::SETS_COLLECTION, |doc_id, doc| {
+            let hit = doc.get("approach").and_then(Value::as_str) == Some(approach);
+            if hit && committed.contains(&(approach.to_string(), doc_id.to_string())) {
+                let id = layout::set_id(approach, doc_id);
+                rows.push((doc_id, set_row(id, doc, TierBytes::default())));
             }
+            hit
+        })?;
+        let mut blobs = None;
+        for (doc_id, mut row) in rows {
             let blobs = blobs.get_or_insert_with(|| blobs_of(approach));
             let keys = blobs.get(&layout::doc_dir(approach, doc_id));
-            let bytes = tier_bytes(env, keys.into_iter().flatten());
-            out.push(set_row(layout::set_id(approach, doc_id), &doc, bytes));
+            row.bytes_stored = tier_bytes(env, keys.into_iter().flatten());
+            out.push(row);
         }
     }
 

@@ -77,24 +77,22 @@ pub(crate) fn declare_index(docs: &DocumentStore) {
 /// single-record format, several for a batched group commit. Malformed
 /// members are skipped (they can never have been readable).
 pub fn record_pairs(doc: &Value) -> Vec<(String, String)> {
-    if let Some(batch) = doc.get("batch").and_then(Value::as_array) {
-        return batch
-            .iter()
-            .filter_map(|m| {
-                Some((
-                    m.get("approach")?.as_str()?.to_string(),
-                    m.get("set")?.as_str()?.to_string(),
-                ))
-            })
-            .collect();
+    members(doc).iter().filter_map(pair_of).collect()
+}
+
+/// The members of one commit record: a batch's entries, or the record
+/// itself.
+fn members(doc: &Value) -> &[Value] {
+    match doc.get("batch").and_then(Value::as_array) {
+        Some(batch) => batch,
+        None => std::slice::from_ref(doc),
     }
-    match (
-        doc.get("approach").and_then(Value::as_str),
-        doc.get("set").and_then(Value::as_str),
-    ) {
-        (Some(a), Some(s)) => vec![(a.to_string(), s.to_string())],
-        _ => Vec::new(),
-    }
+}
+
+/// The `(approach, set)` pair of a well-formed member.
+fn pair_of(m: &Value) -> Option<(String, String)> {
+    let field = |name| Some(m.get(name)?.as_str()?.to_string());
+    Some((field("approach")?, field("set")?))
 }
 
 /// Causal attribution of one commit-record member: who asked for the
@@ -119,17 +117,16 @@ pub struct CommitAttribution {
 /// otherwise, so records from older stores parse unchanged.
 pub fn record_attribution(doc: &Value) -> Vec<CommitAttribution> {
     let member = |m: &Value| -> Option<CommitAttribution> {
+        let (approach, set) = pair_of(m)?;
+        let rider = |name| m.get(name).and_then(Value::as_str).map(str::to_string);
         Some(CommitAttribution {
-            approach: m.get("approach")?.as_str()?.to_string(),
-            set: m.get("set")?.as_str()?.to_string(),
-            tenant: m.get("tenant").and_then(Value::as_str).map(str::to_string),
-            request_id: m.get("rq").and_then(Value::as_str).map(str::to_string),
+            approach,
+            set,
+            tenant: rider("tenant"),
+            request_id: rider("rq"),
         })
     };
-    if let Some(batch) = doc.get("batch").and_then(Value::as_array) {
-        return batch.iter().filter_map(member).collect();
-    }
-    member(doc).into_iter().collect()
+    members(doc).iter().filter_map(member).collect()
 }
 
 /// Phase two of a save: append the commit record, making the save
@@ -194,9 +191,10 @@ pub fn require_committed(env: &ManagementEnv, id: &ModelSetId) -> Result<()> {
 /// fsck scans, which need every pair, and by nothing on a request path.
 pub fn committed_ids(env: &ManagementEnv) -> Result<HashSet<(String, String)>> {
     let mut out = HashSet::new();
-    for (_, doc) in env.docs().all(COMMITS_COLLECTION)? {
-        out.extend(record_pairs(&doc));
-    }
+    env.docs().visit(COMMITS_COLLECTION, |_, doc| {
+        out.extend(record_pairs(doc));
+        true
+    })?;
     Ok(out)
 }
 
@@ -205,41 +203,48 @@ pub fn committed_ids(env: &ManagementEnv) -> Result<HashSet<(String, String)>> {
 /// removed.
 ///
 /// A batched record containing `id` alongside other saves is rewritten
-/// without `id`: the trimmed replacement is inserted **before** the old
+/// without `id`, each surviving member as it was written (riders
+/// included): the trimmed replacement is inserted **before** the old
 /// record is deleted, so a crash between the two steps leaves duplicate
 /// commit entries for the surviving members (harmless — commit lookup
-/// is set-semantics) but can never lose a commit.
+/// is set-semantics) but can never lose a commit. The lookup and the
+/// rewrite run in the commit gate's exclusive section: two decommits of
+/// batch-mates would otherwise each write back the other's member.
 pub fn decommit(env: &ManagementEnv, id: &ModelSetId) -> Result<usize> {
-    let mut removed = 0;
-    let key = [pair_key(&id.approach, &id.key)];
-    for (doc_id, doc) in env
-        .docs()
-        .find_by_key(COMMITS_COLLECTION, PAIR_INDEX, &key)?
-    {
-        let pairs = record_pairs(&doc);
-        let keep: Vec<_> = pairs
-            .iter()
-            .filter(|(a, s)| !(a == &id.approach && s == &id.key))
-            .cloned()
-            .collect();
-        removed += pairs.len() - keep.len();
-        if !keep.is_empty() {
-            env.docs().insert(COMMITS_COLLECTION, record_for(&keep))?;
+    env.commit_gate().exclusive(|| {
+        let mut removed = 0;
+        let key = [pair_key(&id.approach, &id.key)];
+        let records = env
+            .docs()
+            .find_by_key(COMMITS_COLLECTION, PAIR_INDEX, &key)?;
+        #[cfg(test)]
+        tests::after_lookup();
+        for (doc_id, doc) in records {
+            let pairs = record_pairs(&doc);
+            let keep = record_without(&doc, id);
+            removed += pairs.len() - keep.len();
+            if !keep.is_empty() {
+                env.docs().insert(COMMITS_COLLECTION, record_of(keep))?;
+            }
+            env.docs().delete(COMMITS_COLLECTION, doc_id)?;
         }
-        env.docs().delete(COMMITS_COLLECTION, doc_id)?;
-    }
-    Ok(removed)
+        Ok(removed)
+    })
 }
 
-/// Build a commit record covering `pairs` (single format for one pair,
-/// batch format otherwise).
-fn record_for(pairs: &[(String, String)]) -> Value {
-    if let [(approach, set)] = pairs {
-        json!({"approach": approach, "set": set})
-    } else {
-        let members: Vec<_> =
-            pairs.iter().map(|(a, s)| json!({"approach": a, "set": s})).collect();
-        json!({ "batch": members })
+/// The well-formed members of commit record `doc` other than `id`'s,
+/// as written.
+fn record_without(doc: &Value, id: &ModelSetId) -> Vec<Value> {
+    let other = |m: &&Value| pair_of(m).is_some_and(|(a, s)| a != id.approach || s != id.key);
+    members(doc).iter().filter(other).cloned().collect()
+}
+
+/// A commit record of `members` (single format for one, batch format
+/// otherwise).
+fn record_of(mut members: Vec<Value>) -> Value {
+    match members.len() {
+        1 => members.remove(0),
+        _ => json!({ "batch": members }),
     }
 }
 
@@ -343,6 +348,115 @@ mod tests {
         let remaining = env.docs().all(COMMITS_COLLECTION).unwrap();
         assert_eq!(remaining.len(), 1);
         assert!(is_committed(&env, &id("baseline", "0")).unwrap());
+    }
+
+    thread_local! {
+        /// Run by [`decommit`] between its lookup and its first write,
+        /// on the threads that install it.
+        static AFTER_LOOKUP: std::cell::RefCell<Option<Box<dyn Fn()>>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    pub(super) fn after_lookup() {
+        AFTER_LOOKUP.with(|hook| hook.borrow().as_ref().map(|hook| hook()));
+    }
+
+    /// Two tenants retiring batch-mates at the same moment: each
+    /// decommit reads the shared record before either writes. Both
+    /// must land, whoever goes first.
+    #[test]
+    fn concurrent_decommits_of_batch_mates_both_land() {
+        use std::sync::{Arc, Condvar, Mutex};
+        use std::time::Duration;
+        let (_d, env) = env();
+        env.docs()
+            .insert(
+                COMMITS_COLLECTION,
+                json!({"batch": [
+                    json!({"approach": "baseline", "set": "0"}),
+                    json!({"approach": "update", "set": "1"}),
+                ]}),
+            )
+            .unwrap();
+        // Each decommit waits after its lookup until the other has
+        // looked up too, or for a second if it cannot get there.
+        let arrived = Arc::new((Mutex::new(0), Condvar::new()));
+        let results: Vec<Result<usize>> = std::thread::scope(|s| {
+            let handles: Vec<_> = [id("baseline", "0"), id("update", "1")]
+                .into_iter()
+                .map(|member| {
+                    let (env, arrived) = (&env, Arc::clone(&arrived));
+                    s.spawn(move || {
+                        let rendezvous = move || {
+                            let (count, cv) = &*arrived;
+                            let mut count = count.lock().unwrap();
+                            *count += 1;
+                            cv.notify_all();
+                            let wait =
+                                cv.wait_timeout_while(count, Duration::from_secs(1), |n| *n < 2);
+                            drop(wait.unwrap());
+                        };
+                        AFTER_LOOKUP.with(|hook| *hook.borrow_mut() = Some(Box::new(rendezvous)));
+                        decommit(env, &member)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(
+            !is_committed(&env, &id("baseline", "0")).unwrap(),
+            "first pair retired"
+        );
+        assert!(
+            !is_committed(&env, &id("update", "1")).unwrap(),
+            "second pair retired"
+        );
+        assert_eq!(committed_ids(&env).unwrap().len(), 0);
+        for res in results {
+            assert_eq!(res.unwrap(), 1);
+        }
+    }
+
+    #[test]
+    fn decommit_keeps_the_survivors_riders() {
+        let (_d, env) = env();
+        let member = |approach: &str, set: &str, t: &str| {
+            let rq = format!("rq-{t}-1");
+            json!({"approach": approach, "set": set, "tenant": t, "rq": rq})
+        };
+        let members = [
+            ("baseline", "0", "a"),
+            ("update", "1", "b"),
+            ("update", "2", "c"),
+        ];
+        let batch: Vec<Value> = members.iter().map(|(a, s, t)| member(a, s, t)).collect();
+        let record = json!({ "batch": batch });
+        env.docs().insert(COMMITS_COLLECTION, record).unwrap();
+        let riders = |env: &ManagementEnv| {
+            let records = env.docs().all(COMMITS_COLLECTION).unwrap();
+            let rows = records.iter().flat_map(|(_, doc)| record_attribution(doc));
+            let rows = rows.map(|r| (r.set, r.tenant.unwrap(), r.request_id.unwrap()));
+            rows.collect::<Vec<_>>()
+        };
+        let row = |set: &str, tenant: &str| {
+            (
+                set.to_string(),
+                tenant.to_string(),
+                format!("rq-{tenant}-1"),
+            )
+        };
+        assert_eq!(decommit(&env, &id("update", "1")).unwrap(), 1);
+        assert_eq!(
+            riders(&env),
+            vec![row("0", "a"), row("2", "c")],
+            "a trimmed batch"
+        );
+        assert_eq!(decommit(&env, &id("baseline", "0")).unwrap(), 1);
+        assert_eq!(
+            riders(&env),
+            vec![row("2", "c")],
+            "trimmed to a single record"
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! the chaos harness asserts.
 
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use serde_json::json;
@@ -176,6 +176,29 @@ impl GroupCommitter {
                 Err(poisoned) => poisoned.into_inner(),
             };
         }
+    }
+
+    /// Run `f` as the only writer of the commit log: after the batch
+    /// being written (if any) and before the next, excluding any other
+    /// such section. A read-modify-write of commit records
+    /// ([`crate::commit::decommit`]) runs here so that no other edit
+    /// lands between its read and its write. `f` must not commit.
+    pub(crate) fn exclusive<T>(&self, f: impl FnOnce() -> T) -> T {
+        struct Release<'a>(&'a GroupCommitter);
+        impl Drop for Release<'_> {
+            fn drop(&mut self) {
+                self.0.lock_state().writing = false;
+                self.0.cv.notify_all();
+            }
+        }
+        let mut st = self.lock_state();
+        while st.writing {
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        st.writing = true;
+        drop(st);
+        let _release = Release(self);
+        f()
     }
 
     /// Cumulative batching counters.

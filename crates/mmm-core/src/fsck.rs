@@ -197,13 +197,25 @@ pub fn salvage_docs(dir: impl AsRef<std::path::Path>) -> Result<mmm_store::Salva
     mmm_store::salvage(dir.as_ref().join("docs"))
 }
 
+/// Every document of `collection`, id-ascending, cut down to the
+/// `fields` the audit reads (one find, charged like `all`).
+fn scan(env: &ManagementEnv, collection: &str, fields: &[&str]) -> Result<Vec<(u64, Value)>> {
+    let mut out = Vec::new();
+    env.docs().visit(collection, |id, doc| {
+        let field = |f: &&str| Some((f.to_string(), doc.get(f)?.clone()));
+        out.push((id, Value::Object(fields.iter().filter_map(field).collect())));
+        true
+    })?;
+    Ok(out)
+}
+
 /// Scan the whole environment and classify every inconsistency.
 /// Read-only — repair decisions are a separate, explicit step.
 pub fn fsck(env: &ManagementEnv) -> Result<FsckReport> {
     let committed = &commit::committed_ids(env)?;
 
     // ---- set-oriented documents (baseline / update / provenance) ----
-    let set_docs = env.docs().all(common::SETS_COLLECTION)?;
+    let set_docs = scan(env, common::SETS_COLLECTION, &["approach", "kind", "base"])?;
     let mut audit = Audit::new(env, committed);
     audit.set_docs = set_docs.iter().map(|(id, _)| *id).collect();
     // Every document's blob directory → the committed set it belongs
@@ -232,7 +244,7 @@ pub fn fsck(env: &ManagementEnv) -> Result<FsckReport> {
     }
 
     // ---- MMlib-base per-model rows, grouped into save batches ----
-    let model_rows = env.docs().all(MODELS_COLLECTION)?;
+    let model_rows = scan(env, MODELS_COLLECTION, &["batch_head"])?;
     let row_ids: HashSet<u64> = model_rows.iter().map(|(id, _)| *id).collect();
     for (batch, debris) in layout::mmlib_batches(&model_rows, committed) {
         if let Some(batch) = batch {
@@ -257,7 +269,7 @@ pub fn fsck(env: &ManagementEnv) -> Result<FsckReport> {
     }
 
     // ---- branch heads (version-graph pointers into the set space) ----
-    let branch_docs = env.docs().all(crate::branch::BRANCHES_COLLECTION)?;
+    let branch_docs = scan(env, crate::branch::BRANCHES_COLLECTION, &["branch", "head"])?;
     let branch_ids: HashSet<u64> = branch_docs.iter().map(|(id, _)| *id).collect();
     let report = &mut audit.found;
     for (doc_id, doc) in &branch_docs {

@@ -911,15 +911,13 @@ fn collect_needs(expr: &Expr, needs: &mut Needs) {
 /// instead of one per record.
 fn all_tags(env: &ManagementEnv) -> Result<HashMap<String, Vec<String>>> {
     let mut map: HashMap<String, Vec<String>> = HashMap::new();
-    for (_, doc) in env.docs().all(tags::TAGS_COLLECTION)? {
-        let (Some(set), Some(tag)) = (
-            doc.get("set").and_then(Value::as_str),
-            doc.get("tag").and_then(Value::as_str),
-        ) else {
-            continue;
-        };
-        map.entry(set.to_string()).or_default().push(tag.to_string());
-    }
+    env.docs().visit(tags::TAGS_COLLECTION, |_, doc| {
+        let field = |name| doc.get(name).and_then(Value::as_str);
+        if let (Some(set), Some(tag)) = (field("set"), field("tag")) {
+            map.entry(set.into()).or_default().push(tag.into());
+        }
+        true
+    })?;
     for v in map.values_mut() {
         v.sort();
         v.dedup();

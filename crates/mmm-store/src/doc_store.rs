@@ -49,39 +49,67 @@ fn format_record(json: &str) -> Vec<u8> {
     format!("{json}\t#{:016x}\n", xxhash64(json.as_bytes(), RECORD_CHECKSUM_SEED)).into_bytes()
 }
 
-/// Parse and verify one complete log record (without its newline).
-fn parse_record(line: &[u8], collection: &str, offset: usize) -> Result<Value> {
-    let text = std::str::from_utf8(line).map_err(|_| {
+/// The canonical log line of document `id`: `doc` (an object) with
+/// its `_id` set.
+fn line_of(id: DocId, doc: &Value) -> Result<String> {
+    let mut on_disk = doc.clone();
+    let obj = on_disk
+        .as_object_mut()
+        .ok_or_else(|| Error::invalid("documents must be JSON objects"))?;
+    obj.insert("_id".into(), json!(id));
+    Ok(on_disk.to_string())
+}
+
+/// Parse and verify one complete log record (without its newline):
+/// its id, and the document it holds unless it is a tombstone.
+fn parse_record(line: &[u8], collection: &str, offset: usize) -> Result<(DocId, Option<Held>)> {
+    let corrupt = |what: &str| {
         Error::corrupt(format!(
-            "collection {collection:?}: non-utf8 record at byte {offset}"
+            "collection {collection:?}: {what} at byte {offset}"
         ))
-    })?;
-    let json = match text.rsplit_once('\t') {
+    };
+    let text = std::str::from_utf8(line).map_err(|_| corrupt("non-utf8 record"))?;
+    let (json, checksummed) = match text.rsplit_once('\t') {
         Some((json, sum)) => {
             let expected = sum
                 .strip_prefix('#')
                 .filter(|h| h.len() == 16)
                 .and_then(|h| u64::from_str_radix(h, 16).ok())
-                .ok_or_else(|| {
-                    Error::corrupt(format!(
-                        "collection {collection:?}: malformed record checksum at byte {offset}"
-                    ))
-                })?;
+                .ok_or_else(|| corrupt("malformed record checksum"))?;
             if xxhash64(json.as_bytes(), RECORD_CHECKSUM_SEED) != expected {
-                return Err(Error::corrupt(format!(
-                    "collection {collection:?}: record checksum mismatch at byte {offset}"
-                )));
+                return Err(corrupt("record checksum mismatch"));
             }
-            json
+            (json, true)
         }
         // Legacy record written before checksums: the JSON is the line.
-        None => text,
+        None => (text, false),
     };
-    serde_json::from_str(json).map_err(|e| {
-        Error::corrupt(format!(
-            "collection {collection:?}: bad record at byte {offset}: {e}"
-        ))
-    })
+    let parsed = serde_json::from_str(json);
+    let mut doc: Value = parsed.map_err(|e| corrupt(&format!("bad record ({e})")))?;
+    let id = doc.get("_id").and_then(Value::as_u64);
+    let id = id.ok_or_else(|| corrupt("record without _id"))?;
+    if doc.get("_deleted").and_then(Value::as_bool) == Some(true) {
+        return Ok((id, None));
+    }
+    if let Some(obj) = doc.as_object_mut() {
+        obj.remove("_id");
+    }
+    // This store wrote a checksummed line canonically, from the document.
+    let len = match checksummed {
+        true => len_without_id(json.len(), id, &doc),
+        false => doc.to_string().len() as u64,
+    };
+    Ok((id, Some(Held { doc, len })))
+}
+
+/// `doc.to_string().len()` of a document held without `_id`, from the
+/// length of the canonical line `{..,"_id":<id>,..}` the store wrote for
+/// it: that line less the `"_id":<id>` member and the comma joining it
+/// to the others.
+fn len_without_id(line_len: usize, id: DocId, doc: &Value) -> u64 {
+    let digits = id.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let comma = usize::from(doc.as_object().is_some_and(|o| !o.is_empty()));
+    line_len.saturating_sub("\"_id\":".len() + digits + comma) as u64
 }
 
 /// The keys one document is filed under in a secondary index: none
@@ -126,11 +154,19 @@ impl Index {
     }
 }
 
+/// A held document and its encoded length (`to_string().len()`, what a
+/// read of it is charged), taken from its log line when it was appended
+/// or replayed so no read re-serialises it.
+struct Held {
+    doc: Value,
+    len: u64,
+}
+
 struct Collection {
     log: File,
     /// Documents keyed by id (BTreeMap: O(log n) point lookups, ordered
     /// iteration for scans).
-    docs: BTreeMap<DocId, Value>,
+    docs: BTreeMap<DocId, Held>,
     next_id: DocId,
     /// Secondary indexes by name, maintained on insert/delete; declared
     /// via [`DocumentStore::create_keyed_index`].
@@ -138,18 +174,6 @@ struct Collection {
 }
 
 impl Collection {
-    fn index_insert(&mut self, id: DocId, doc: &Value) {
-        self.indexes
-            .values_mut()
-            .for_each(|index| index.insert(id, doc));
-    }
-
-    fn index_remove(&mut self, id: DocId, doc: &Value) {
-        self.indexes
-            .values_mut()
-            .for_each(|index| index.remove(id, doc));
-    }
-
     /// (Re)build the index `def` declares from the documents held now.
     fn build_index(&mut self, def: IndexDef) {
         let name = def.name.clone();
@@ -159,18 +183,14 @@ impl Collection {
         };
         self.docs
             .iter()
-            .for_each(|(&id, doc)| index.insert(id, doc));
+            .for_each(|(&id, held)| index.insert(id, &held.doc));
         self.indexes.insert(name, index);
     }
 
     /// The documents filed under any of `keys` in index `name`, each
-    /// once, id-ascending; an index nobody declared is [`Error::Invalid`].
-    fn indexed(
-        &self,
-        collection: &str,
-        name: &str,
-        keys: &[String],
-    ) -> Result<Vec<(DocId, Value)>> {
+    /// once, id-ascending, and their bytes; an index nobody declared is
+    /// [`Error::Invalid`].
+    fn indexed(&self, collection: &str, name: &str, keys: &[String]) -> Result<Found> {
         let index = self.indexes.get(name).ok_or_else(|| {
             Error::invalid(format!("collection {collection:?} has no index {name:?}"))
         })?;
@@ -183,13 +203,43 @@ impl Collection {
         Ok(self.fetch(ids))
     }
 
-    /// The documents with the given ids that exist, in the order given.
-    fn fetch(&self, ids: impl IntoIterator<Item = DocId>) -> Vec<(DocId, Value)> {
-        ids.into_iter()
-            .filter_map(|id| self.docs.get(&id).map(|v| (id, v.clone())))
-            .collect()
+    /// The documents with the given ids that exist, in the order given,
+    /// and their bytes.
+    fn fetch(&self, ids: impl IntoIterator<Item = DocId>) -> Found {
+        let (mut found, mut bytes) = (Vec::new(), 0);
+        let held = ids
+            .into_iter()
+            .filter_map(|id| Some((id, self.docs.get(&id)?)));
+        for (id, held) in held {
+            found.push((id, held.doc.clone()));
+            bytes += held.len;
+        }
+        (found, bytes)
+    }
+
+    /// Pass every document to `accept`, id-ascending; the bytes of those
+    /// it accepted. The one scan loop under every whole-collection read.
+    fn scan(&self, mut accept: impl FnMut(DocId, &Value) -> bool) -> u64 {
+        let accepted = self.docs.iter().filter(|(&id, held)| accept(id, &held.doc));
+        accepted.map(|(_, held)| held.len).sum()
+    }
+
+    /// `scan` keeping copies of the documents `keep` accepts.
+    fn collect(&self, mut keep: impl FnMut(&Value) -> bool) -> Found {
+        let mut rows = Vec::new();
+        let bytes = self.scan(|id, doc| {
+            let hit = keep(doc);
+            if hit {
+                rows.push((id, doc.clone()));
+            }
+            hit
+        });
+        (rows, bytes)
     }
 }
+
+/// What a find returns, and the bytes it is charged for.
+type Found = (Vec<(DocId, Value)>, u64);
 
 /// The collections whose name hashes into one shard, and the indexes
 /// declared for them (a declaration outlives, and may precede, the
@@ -326,21 +376,12 @@ impl DocumentStore {
             };
             let line = &data[pos..pos + rel];
             if !line.is_empty() {
-                let mut v = parse_record(line, name, pos)?;
-                let id = v.get("_id").and_then(Value::as_u64).ok_or_else(|| {
-                    Error::corrupt(format!(
-                        "collection {name:?}: record without _id at byte {pos}"
-                    ))
-                })?;
-                if v.get("_deleted").and_then(Value::as_bool) == Some(true) {
+                let (id, held) = parse_record(line, name, pos)?;
+                match held {
+                    Some(held) => docs.insert(id, held),
                     // Tombstone: drop the document but never reuse its id.
-                    docs.remove(&id);
-                } else {
-                    if let Some(obj) = v.as_object_mut() {
-                        obj.remove("_id");
-                    }
-                    docs.insert(id, v);
-                }
+                    None => docs.remove(&id),
+                };
                 next_id = next_id.max(id + 1);
             }
             pos += rel + 1;
@@ -391,13 +432,12 @@ impl DocumentStore {
         }
         self.with_collection(collection, |coll| {
             let id = coll.next_id;
-            let mut on_disk = doc.clone();
-            match on_disk.as_object_mut() {
-                Some(obj) => obj.insert("_id".into(), json!(id)),
-                None => return Err(Error::invalid("documents must be JSON objects")),
+            let line = line_of(id, &doc)?;
+            // A caller's own `_id` is held but not written.
+            let len = match doc.get("_id") {
+                None => len_without_id(line.len(), id, &doc),
+                Some(_) => doc.to_string().len() as u64,
             };
-            let line = serde_json::to_string(&on_disk)
-                .map_err(|e| Error::invalid(format!("unserializable document: {e}")))?;
             let mut record = format_record(&line);
             match self.fault_gate(OpClass::DocInsert, "doc_insert", record.len())? {
                 FaultEffect::Clean => {}
@@ -423,8 +463,10 @@ impl DocumentStore {
             let bytes = record.len() as u64;
             coll.log.write_all(&record)?;
             coll.next_id += 1;
-            coll.index_insert(id, &doc);
-            coll.docs.insert(id, doc);
+            for index in coll.indexes.values_mut() {
+                index.insert(id, &doc);
+            }
+            coll.docs.insert(id, Held { doc, len });
             let cost = self.profile.doc_insert.cost(bytes);
             self.stats.record_doc_insert(bytes);
             self.clock.charge(cost);
@@ -439,13 +481,12 @@ impl DocumentStore {
         // faults apply.
         self.fault_gate(OpClass::DocQuery, "doc_query", 0)?;
         self.with_collection(collection, |coll| {
-            let found = coll
+            let held = coll
                 .docs
                 .get(&id)
-                .cloned()
                 .ok_or_else(|| Error::not_found(format!("document {id} in {collection:?}")))?;
-            self.charge_query("doc_query", found.to_string().len() as u64);
-            Ok(found)
+            self.charge_query("doc_query", held.len);
+            Ok(held.doc.clone())
         })
     }
 
@@ -458,19 +499,32 @@ impl DocumentStore {
     }
 
     /// One find() call: fault-gated, then charged as one `doc_query`
-    /// round-trip plus the bytes of the documents `select` returned.
-    fn find(
+    /// round-trip plus the bytes `select` reports for what it returned.
+    fn find<T>(
         &self,
         collection: &str,
-        select: impl FnOnce(&Collection) -> Result<Vec<(DocId, Value)>>,
-    ) -> Result<Vec<(DocId, Value)>> {
+        select: impl FnOnce(&Collection) -> Result<(T, u64)>,
+    ) -> Result<T> {
         self.fault_gate(OpClass::DocQuery, "doc_find", 0)?;
         self.with_collection(collection, |coll| {
-            let found = select(coll)?;
-            let bytes = found.iter().map(|(_, v)| v.to_string().len() as u64).sum();
+            let (found, bytes) = select(coll)?;
             self.charge_query("doc_find", bytes);
             Ok(found)
         })
+    }
+
+    /// Pass every document of `collection` to `accept` by reference,
+    /// id-ascending. One find() call with a server-side filter: fault
+    /// gated once and charged as one `doc_query` round-trip plus the
+    /// bytes of the documents `accept` returned `true` for — what such
+    /// a find would ship. A missing collection is an empty one.
+    ///
+    /// `accept` runs under the collection's lock: it must not call this
+    /// store (that deadlocks) and should not do slow work (it stalls
+    /// every other op on the collection). Copy out what it needs and
+    /// act on it after `visit` returns.
+    pub fn visit(&self, collection: &str, accept: impl FnMut(DocId, &Value) -> bool) -> Result<()> {
+        self.find(collection, |coll| Ok(((), coll.scan(accept))))
     }
 
     /// Find all documents whose `field` equals `value`.
@@ -479,16 +533,10 @@ impl DocumentStore {
         self.find(collection, |coll| {
             if coll.indexes.get(field).is_some_and(|i| i.def.of_field) {
                 // Indexed path: O(hits).
-                coll.indexed(collection, field, &[value.to_string()])
-            } else {
-                // Unindexed path: full collection scan.
-                Ok(coll
-                    .docs
-                    .iter()
-                    .filter(|(_, v)| v.get(field) == Some(value))
-                    .map(|(id, v)| (*id, v.clone()))
-                    .collect())
+                return coll.indexed(collection, field, &[value.to_string()]);
             }
+            // Unindexed path: `visit`'s scan, keeping the matches.
+            Ok(coll.collect(|doc| doc.get(field) == Some(value)))
         })
     }
 
@@ -519,14 +567,10 @@ impl DocumentStore {
     /// is never reused. Charged as one delete round-trip.
     pub fn delete(&self, collection: &str, id: DocId) -> Result<()> {
         self.with_collection(collection, |coll| {
-            let doc = coll
-                .docs
-                .get(&id)
-                .cloned()
-                .ok_or_else(|| Error::not_found(format!("document {id} in {collection:?}")))?;
-            let line = serde_json::to_string(&json!({"_id": id, "_deleted": true}))
-                .map_err(|e| Error::invalid(format!("unserializable tombstone: {e}")))?;
-            let record = format_record(&line);
+            if !coll.docs.contains_key(&id) {
+                return Err(Error::not_found(format!("document {id} in {collection:?}")));
+            }
+            let record = format_record(&json!({"_id": id, "_deleted": true}).to_string());
             match self.fault_gate(OpClass::DocDelete, "doc_delete", record.len())? {
                 FaultEffect::Clean => {}
                 FaultEffect::Torn { keep } => {
@@ -542,8 +586,11 @@ impl DocumentStore {
                 FaultEffect::Flip { .. } => {}
             }
             coll.log.write_all(&record)?;
-            coll.index_remove(id, &doc);
-            coll.docs.remove(&id);
+            if let Some(held) = coll.docs.remove(&id) {
+                for index in coll.indexes.values_mut() {
+                    index.remove(id, &held.doc);
+                }
+            }
             let bytes = record.len() as u64;
             let cost = self.profile.doc_insert.cost(bytes);
             self.stats.record_doc_delete(bytes);
@@ -565,15 +612,8 @@ impl DocumentStore {
             let tmp = self.root.join(format!(".{collection}.compact"));
             {
                 let mut out = std::io::BufWriter::new(File::create(&tmp)?);
-                for (&id, doc) in &coll.docs {
-                    let mut on_disk = doc.clone();
-                    on_disk
-                        .as_object_mut()
-                        .ok_or_else(|| Error::corrupt("stored document is not an object"))?
-                        .insert("_id".into(), json!(id));
-                    let line = serde_json::to_string(&on_disk)
-                        .map_err(|e| Error::invalid(format!("unserializable document: {e}")))?;
-                    out.write_all(&format_record(&line))?;
+                for (&id, held) in &coll.docs {
+                    out.write_all(&format_record(&line_of(id, &held.doc)?))?;
                 }
                 // Preserve the id horizon so compaction never allows
                 // id reuse, even when the newest documents were
@@ -582,9 +622,7 @@ impl DocumentStore {
                     && coll.next_id > 0
                 {
                     let horizon = json!({"_id": coll.next_id - 1, "_deleted": true});
-                    let line = serde_json::to_string(&horizon)
-                        .map_err(|e| Error::invalid(format!("unserializable horizon: {e}")))?;
-                    out.write_all(&format_record(&line))?;
+                    out.write_all(&format_record(&horizon.to_string()))?;
                 }
                 out.flush()?;
             }
@@ -662,13 +700,10 @@ impl DocumentStore {
             .unwrap_or(0)
     }
 
-    /// All documents of a collection, id-ascending. Charged as one
-    /// `doc_query` round-trip (one find() call) — used by catalog and
-    /// fsck scans.
+    /// All documents of a collection, id-ascending: the scan of
+    /// [`DocumentStore::visit`], accepting and copying every document.
     pub fn all(&self, collection: &str) -> Result<Vec<(DocId, Value)>> {
-        self.find(collection, |coll| {
-            Ok(coll.docs.iter().map(|(id, v)| (*id, v.clone())).collect())
-        })
+        self.find(collection, |coll| Ok(coll.collect(|_| true)))
     }
 
     /// The store's fault-injection handle.
@@ -741,11 +776,7 @@ pub fn salvage(dir: impl AsRef<Path>) -> Result<SalvageReport> {
             };
             let line = &data[pos..pos + rel];
             if !line.is_empty() {
-                let valid = parse_record(line, &name, pos)
-                    .ok()
-                    .and_then(|v| v.get("_id").and_then(Value::as_u64))
-                    .is_some();
-                if valid {
+                if parse_record(line, &name, pos).is_ok() {
                     report.records_kept += 1;
                     kept.extend_from_slice(&data[pos..pos + rel + 1]);
                 } else {
@@ -1319,6 +1350,245 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The laws behind charging a read from the length held with a
+    /// document instead of re-serialising it.
+    mod charge_laws {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A random document from `seed`: nested objects and arrays,
+        /// unicode and escaped strings, integers of every sign and size,
+        /// floats that print long or short, the empty object, and now
+        /// and then a caller-supplied `_id`.
+        fn doc_of(seed: u64) -> Value {
+            let mut rng = proptest::TestRng::deterministic(&seed.to_string());
+            let mut doc = value(&mut rng, 0);
+            if rng.below(8) == 0 {
+                if let Some(obj) = doc.as_object_mut() {
+                    obj.insert("_id".into(), json!("mine"));
+                }
+            }
+            doc
+        }
+
+        fn value(rng: &mut proptest::TestRng, depth: u32) -> Value {
+            const STRINGS: [&str; 7] = [
+                "",
+                "plain",
+                "é ü ß",
+                "日本😀",
+                "q\"uo\\te",
+                "\n\t\r\u{1}\u{8}\u{c}",
+                "\u{7f}/",
+            ];
+            const FLOATS: [f64; 8] = [0.5, -2.0, 1e300, 5e-324, 0.1, -0.0, 123456.789, f64::NAN];
+            let pick = if depth == 0 { 0 } else { rng.below(9) };
+            match pick {
+                0 | 1 if depth < 3 => {
+                    let n = rng.below(5);
+                    let member = |rng: &mut proptest::TestRng| {
+                        let key = STRINGS[rng.below(7) as usize].to_string() + "k";
+                        (key, value(rng, depth + 1))
+                    };
+                    Value::Object((0..n).map(|_| member(rng)).collect())
+                }
+                2 if depth < 3 => {
+                    Value::Array((0..rng.below(4)).map(|_| value(rng, depth + 1)).collect())
+                }
+                3 => json!(STRINGS[rng.below(7) as usize]),
+                4 => json!(FLOATS[rng.below(8) as usize]),
+                5 => json!(rng.next_u64()),
+                6 => json!(-(rng.below(1 << 40) as i64) - 1),
+                7 => json!(rng.below(2) == 0),
+                _ => Value::Null,
+            }
+        }
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Insert(u64),
+            Delete(u8),
+            Compact,
+            Reopen,
+            /// Close, append a checksum-less record in a spelling the
+            /// store would not write, reopen.
+            Legacy(u8),
+        }
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                5 => any::<u64>().prop_map(Op::Insert),
+                2 => any::<u8>().prop_map(Op::Delete),
+                1 => Just(Op::Compact),
+                1 => Just(Op::Reopen),
+                1 => any::<u8>().prop_map(Op::Legacy),
+            ]
+        }
+
+        struct Charged {
+            stats: StoreStats,
+            clock: VirtualClock,
+        }
+
+        impl Charged {
+            /// `read`'s result and its (queries, bytes read, simulated time).
+            fn measure<T>(&self, read: impl FnOnce() -> T) -> (T, (u64, u64, std::time::Duration)) {
+                let (s0, t0) = (self.stats.snapshot(), self.clock.simulated());
+                let out = read();
+                let d = self.stats.snapshot() - s0;
+                (
+                    out,
+                    (d.doc_queries, d.bytes_read, self.clock.simulated() - t0),
+                )
+            }
+        }
+
+        fn encoded(found: &[(DocId, Value)]) -> u64 {
+            found.iter().map(|(_, v)| v.to_string().len() as u64).sum()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// After any history of inserts, deletes, compactions,
+            /// reopens and legacy records, every read is charged exactly
+            /// `to_string().len()` of what it returns, and `visit`
+            /// filtering like `find_eq` is charged like it and visits
+            /// the same ids in the same order.
+            #[test]
+            fn reads_charge_the_encoded_length_of_what_they_return(
+                ops in proptest::collection::vec(arb_op(), 1..30),
+            ) {
+                let dir = TempDir::new("mmm-doc-charge").unwrap();
+                let charged = Charged { stats: StoreStats::new(), clock: VirtualClock::new() };
+                let open = || DocumentStore::open(
+                    dir.path(), LatencyProfile::m1(), charged.clock.clone(), charged.stats.clone(),
+                ).unwrap();
+                let mut db = open();
+                let mut next_id: DocId = 0;
+                for op in ops {
+                    match op {
+                        Op::Insert(seed) => {
+                            let doc = doc_of(seed);
+                            prop_assert_eq!(db.insert("c", doc.clone()).unwrap(), next_id);
+                            next_id += 1;
+                            // The clean document is charged, not a
+                            // re-serialisation of it.
+                            let (got, (_, bytes, _)) = charged.measure(|| db.get("c", next_id - 1).unwrap());
+                            prop_assert_eq!(bytes, doc.to_string().len() as u64);
+                            prop_assert_eq!(got.to_string(), doc.to_string());
+                        }
+                        Op::Delete(sel) => {
+                            let _ = db.delete("c", u64::from(sel) % (next_id + 1));
+                        }
+                        Op::Compact => {
+                            db.compact("c").unwrap();
+                        }
+                        Op::Reopen => {
+                            drop(db);
+                            db = open();
+                        }
+                        Op::Legacy(v) => {
+                            drop(db);
+                            let line = format!("{{ \"v\" : {v}.50, \"_id\": {next_id}, \"s\":\"\\u00e9\" }}\n");
+                            let mut log = OpenOptions::new().create(true).append(true).open(dir.path().join("c.jsonl")).unwrap();
+                            log.write_all(line.as_bytes()).unwrap();
+                            drop(log);
+                            next_id += 1;
+                            db = open();
+                        }
+                    }
+                    let (all, (queries, bytes, _)) = charged.measure(|| db.all("c").unwrap());
+                    prop_assert_eq!((queries, bytes), (1, encoded(&all)));
+                    for (id, doc) in &all {
+                        let (got, (_, bytes, _)) = charged.measure(|| db.get("c", *id).unwrap());
+                        prop_assert_eq!(got.to_string(), doc.to_string());
+                        prop_assert_eq!(bytes, doc.to_string().len() as u64);
+                    }
+                    let ids: Vec<DocId> = all.iter().map(|(id, _)| *id).collect();
+                    let (got, (_, bytes, _)) = charged.measure(|| db.get_many("c", &ids).unwrap());
+                    prop_assert_eq!(bytes, encoded(&got));
+                    // Every value some document holds under some key.
+                    let probes = all.iter().filter_map(|(_, doc)| doc.as_object()?.iter().next());
+                    let probes: Vec<(String, Value)> = probes.map(|(k, v)| (k.clone(), v.clone())).collect();
+                    for (field, value) in &probes {
+                        let (hits, find_cost) = charged.measure(|| db.find_eq("c", field, value).unwrap());
+                        prop_assert_eq!(find_cost.1, encoded(&hits));
+                        let mut visited = Vec::new();
+                        let ((), visit_cost) = charged.measure(|| db.visit("c", |id, doc| {
+                            let hit = doc.get(field) == Some(value);
+                            if hit {
+                                visited.push(id);
+                            }
+                            hit
+                        }).unwrap());
+                        let hit_ids: Vec<DocId> = hits.iter().map(|(id, _)| *id).collect();
+                        prop_assert_eq!(visited, hit_ids);
+                        prop_assert_eq!(visit_cost, find_cost);
+                    }
+                }
+            }
+        }
+
+        /// `visit` is one find whatever the collection holds: one fault
+        /// gate op (the injected crash of a find stops it before its
+        /// closure runs), one query, ids ascending.
+        #[test]
+        fn a_visit_is_one_gated_find() {
+            use crate::fault::{FaultPlan, FaultTarget};
+            let dir = TempDir::new("mmm-doc").unwrap();
+            let faults = FaultInjector::new();
+            let stats = StoreStats::new();
+            let db = DocumentStore::open_with_faults(
+                dir.path(),
+                LatencyProfile::m1(),
+                VirtualClock::new(),
+                stats.clone(),
+                faults.clone(),
+            )
+            .unwrap();
+            db.insert("full", json!({"a": 1})).unwrap();
+            db.insert("full", json!({"a": 2})).unwrap();
+            db.insert("emptied", json!({})).unwrap();
+            db.delete("emptied", 0).unwrap();
+            for collection in ["full", "emptied", "never-written"] {
+                let (ops, queries) = (faults.ops_observed(), stats.snapshot().doc_queries);
+                let mut seen = Vec::new();
+                db.visit(collection, |id, _| {
+                    seen.push(id);
+                    false
+                })
+                .unwrap();
+                assert_eq!(faults.ops_observed() - ops, 1, "{collection}");
+                assert_eq!(stats.snapshot().doc_queries - queries, 1, "{collection}");
+                let expect: Vec<DocId> = if collection == "full" {
+                    vec![0, 1]
+                } else {
+                    vec![]
+                };
+                assert_eq!(seen, expect, "{collection}");
+                assert_eq!(
+                    stats.snapshot().bytes_read,
+                    0,
+                    "nothing accepted, nothing shipped"
+                );
+            }
+            faults.arm(FaultPlan::crash_at(
+                FaultTarget::Class(OpClass::DocQuery),
+                0,
+            ));
+            let before = stats.snapshot();
+            assert!(db
+                .visit("full", |_, _| panic!("ran past the gate"))
+                .is_err());
+            assert_eq!(
+                stats.snapshot() - before,
+                Default::default(),
+                "a failed find is not charged"
+            );
         }
     }
 

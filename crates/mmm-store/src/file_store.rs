@@ -305,25 +305,16 @@ impl FileStore {
     /// All keys under a prefix (sorted; not charged — local listing used
     /// by maintenance tools, not by the savers).
     pub fn list_keys(&self, prefix: &str) -> Result<Vec<String>> {
-        let root = self.root.clone();
-        let start = self.path_for(prefix).unwrap_or_else(|_| root.clone());
+        let start = self.path_for(prefix).unwrap_or_else(|_| self.root.clone());
         let mut out = Vec::new();
-        fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) {
-            if let Ok(entries) = fs::read_dir(dir) {
-                for e in entries.flatten() {
-                    let p = e.path();
-                    if p.is_dir() {
-                        walk(root, &p, out);
-                    } else if is_temp(&p) {
-                        // An in-flight or crash-leaked temp is not a blob.
-                    } else if let Ok(rel) = p.strip_prefix(root) {
-                        out.push(rel.to_string_lossy().replace('\\', "/"));
-                    }
-                }
-            }
-        }
         if start.is_dir() {
-            walk(&root, &start, &mut out);
+            walk_files(&start, &mut |p, _| {
+                // An in-flight or crash-leaked temp is not a blob.
+                if let (false, Ok(rel)) = (is_temp(p), p.strip_prefix(&self.root)) {
+                    out.push(rel.to_string_lossy().replace('\\', "/"));
+                }
+                Ok(())
+            })?;
         } else if start.is_file() {
             out.push(prefix.to_string());
         }
@@ -333,23 +324,16 @@ impl FileStore {
 
     /// Total bytes of all blobs under the root (ground-truth disk usage).
     pub fn disk_bytes(&self) -> u64 {
-        fn walk(dir: &Path) -> u64 {
-            let mut total = 0;
-            if let Ok(entries) = fs::read_dir(dir) {
-                for e in entries.flatten() {
-                    let p = e.path();
-                    if p.is_dir() {
-                        total += walk(&p);
-                    } else if is_temp(&p) {
-                        // Temps are transient, never part of blob usage.
-                    } else if let Ok(m) = e.metadata() {
-                        total += m.len();
-                    }
-                }
+        let mut total = 0;
+        // Best-effort: a blob deleted mid-walk counts as nothing.
+        let _ = walk_files(&self.root, &mut |p, e| {
+            // Temps are transient, never part of blob usage.
+            if !is_temp(p) {
+                total += e.metadata().map_or(0, |m| m.len());
             }
-            total
-        }
-        walk(&self.root)
+            Ok(())
+        });
+        total
     }
 
     /// The store's fault-injection handle.
@@ -485,18 +469,38 @@ fn tmp_path(path: &Path) -> Result<PathBuf> {
 /// Remove temp files leaked by writes that crashed before their rename.
 /// Their payloads were never acknowledged, so deleting is always safe.
 fn sweep_stale_temps(root: &Path) -> Result<()> {
-    fn walk(dir: &Path) -> std::io::Result<()> {
-        for e in fs::read_dir(dir)? {
-            let p = e?.path();
-            if p.is_dir() {
-                walk(&p)?;
-            } else if is_temp(&p) {
-                fs::remove_file(&p)?;
-            }
+    walk_files(root, &mut |p, _| {
+        if is_temp(p) {
+            fs::remove_file(p)?;
         }
         Ok(())
+    })
+}
+
+/// The store's one directory walk: `visit` every file under `dir`,
+/// recursing into subdirectories. An entry's type comes from the
+/// directory read itself (`DirEntry::file_type`), so the walk costs no
+/// `stat` per entry; that type does not follow symlinks, and the store
+/// creates none. A directory that vanishes mid-walk (a concurrent
+/// delete) holds nothing; any other I/O error ends the walk.
+fn walk_files(
+    dir: &Path,
+    visit: &mut dyn FnMut(&Path, &fs::DirEntry) -> std::io::Result<()>,
+) -> Result<()> {
+    let entries = match fs::read_dir(dir) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        entries => entries?,
+    };
+    for e in entries {
+        let e = e?;
+        let p = e.path();
+        if e.file_type()?.is_dir() {
+            walk_files(&p, visit)?;
+        } else {
+            visit(&p, &e)?;
+        }
     }
-    walk(root).map_err(Error::Io)
+    Ok(())
 }
 
 #[cfg(test)]
