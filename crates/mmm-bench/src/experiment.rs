@@ -71,7 +71,7 @@ pub struct ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// A fast, small configuration for tests and criterion benches.
+    /// A fast, small configuration for tests.
     pub fn small(n_models: usize, n_cycles: usize) -> Self {
         ExperimentConfig {
             n_models,

@@ -7,9 +7,7 @@
 //! and measures storage consumption, time-to-save and time-to-recover;
 //! [`report`] renders the results as the tables/series the paper's
 //! figures show. The `repro` binary exposes one subcommand per figure
-//! and in-text experiment (see DESIGN.md's experiment index); the
-//! Criterion benches under `benches/` reuse the same machinery at
-//! smaller scale.
+//! and in-text experiment (see DESIGN.md's experiment index).
 
 pub mod experiment;
 pub mod gate;

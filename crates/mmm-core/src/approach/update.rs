@@ -31,7 +31,7 @@ use crate::param_codec::{
 };
 use mmm_dnn::ParamDict;
 use mmm_store::BlobBytes;
-use mmm_util::{parallel, Error, Result};
+use mmm_util::{codec, parallel, Error, Result};
 use serde_json::{json, Value};
 
 /// Saver implementing the Update approach.
@@ -429,18 +429,15 @@ fn apply_diff_level(
             continue;
         }
         let bytes = payload(e)?;
-        if bytes.len() != 4 * layer.data.len() {
-            return Err(Error::corrupt(format!(
+        codec::f32s_into(&mut layer.data, bytes).map_err(|_| {
+            Error::corrupt(format!(
                 "diff entry for model {} layer {} has {} params, expected {}",
                 e.model_idx,
                 e.layer_idx,
                 bytes.len() / 4,
                 layer.data.len()
-            )));
-        }
-        for (v, b) in layer.data.iter_mut().zip(bytes.chunks_exact(4)) {
-            *v = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        }
+            ))
+        })?;
     }
     Ok(())
 }

@@ -8,7 +8,7 @@
 use crate::env::ManagementEnv;
 use crate::model_set::ModelSetId;
 use mmm_store::DocumentStore;
-use mmm_util::Result;
+use mmm_util::{Error, Result};
 use serde_json::{json, Value};
 
 /// Document-store collection holding one document per (set, tag) pair.
@@ -36,9 +36,16 @@ pub fn untag_set(env: &ManagementEnv, id: &ModelSetId, tag: &str) -> Result<()> 
     let hits = env
         .docs()
         .find_eq(TAGS_COLLECTION, "set", &json!(id.to_string()))?;
+    #[cfg(test)]
+    tests::after_lookup();
     for (doc_id, doc) in hits {
         if doc.get("tag").and_then(Value::as_str) == Some(tag) {
-            env.docs().delete(TAGS_COLLECTION, doc_id)?;
+            // A concurrent untag of the same tag may have deleted it
+            // since the lookup: already untagged.
+            match env.docs().delete(TAGS_COLLECTION, doc_id) {
+                Ok(()) | Err(Error::NotFound(_)) => {}
+                Err(e) => return Err(e),
+            }
         }
     }
     Ok(())
@@ -61,15 +68,11 @@ pub fn tags_of(env: &ManagementEnv, id: &ModelSetId) -> Result<Vec<String>> {
 /// All sets carrying a tag.
 pub fn find_by_tag(env: &ManagementEnv, tag: &str) -> Result<Vec<ModelSetId>> {
     let hits = env.docs().find_eq(TAGS_COLLECTION, "tag", &json!(tag))?;
-    let mut out = Vec::with_capacity(hits.len());
-    for (_, doc) in hits {
-        if let Some(s) = doc.get("set").and_then(Value::as_str) {
-            if let Some((approach, key)) = s.split_once(':') {
-                out.push(ModelSetId { approach: approach.into(), key: key.into() });
-            }
-        }
-    }
-    Ok(out)
+    let set_of = |doc: &Value| {
+        let (approach, key) = doc.get("set")?.as_str()?.split_once(':')?;
+        Some(ModelSetId { approach: approach.into(), key: key.into() })
+    };
+    Ok(hits.iter().filter_map(|(_, doc)| set_of(doc)).collect())
 }
 
 #[cfg(test)]
@@ -86,6 +89,49 @@ mod tests {
 
     fn id(key: &str) -> ModelSetId {
         ModelSetId { approach: "update".into(), key: key.into() }
+    }
+
+    thread_local! {
+        /// Run by [`untag_set`] between its lookup and its deletes, on
+        /// the threads that install it.
+        static AFTER_LOOKUP: std::cell::RefCell<Option<Box<dyn Fn()>>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    pub(super) fn after_lookup() {
+        AFTER_LOOKUP.with(|hook| hook.borrow().as_ref().map(|hook| hook()));
+    }
+
+    /// Two writers untagging one tag at the same moment: both find the
+    /// tag document before either deletes it. Both must succeed.
+    #[test]
+    fn concurrent_untags_of_one_tag_both_succeed() {
+        use std::sync::{Arc, Barrier};
+        let (_d, env) = env();
+        let a = id("3");
+        tag_set(&env, &a, "golden").unwrap();
+        tag_set(&env, &a, "keep").unwrap();
+        // Each untag waits after its lookup until the other has looked up too.
+        let both_looked_up = Arc::new(Barrier::new(2));
+        let results: Vec<Result<()>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    let (env, a, barrier) = (&env, &a, Arc::clone(&both_looked_up));
+                    s.spawn(move || {
+                        let rendezvous = move || {
+                            barrier.wait();
+                        };
+                        AFTER_LOOKUP.with(|hook| *hook.borrow_mut() = Some(Box::new(rendezvous)));
+                        untag_set(env, a, "golden")
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for res in results {
+            res.unwrap();
+        }
+        assert_eq!(tags_of(&env, &a).unwrap(), vec!["keep"]);
     }
 
     #[test]

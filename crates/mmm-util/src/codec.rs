@@ -32,11 +32,33 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
 }
 
 /// Append a whole `f32` slice as raw little-endian bytes.
+///
+/// This and [`Reader::f32_slice`] / [`f32s_into`] are the one `f32`↔bytes
+/// kernel every parameter codec sits on: safe, endian-correct by
+/// construction, and written so the optimiser turns it into a bulk copy
+/// (on little-endian hosts) or a vectorised byte swap. It only appends, and
+/// reserves `4 * xs.len()` up front, so a buffer the caller has already
+/// reserved room in is never reallocated.
 pub fn put_f32_slice(buf: &mut Vec<u8>, xs: &[f32]) {
     buf.reserve(4 * xs.len());
-    for &x in xs {
-        buf.extend_from_slice(&x.to_le_bytes());
+    buf.extend(xs.iter().flat_map(|x| x.to_le_bytes()));
+}
+
+/// Decode raw little-endian `f32` bytes over `dst` in place. A `src` that
+/// is not exactly `4 * dst.len()` bytes is [`Error::Corrupt`] and leaves
+/// `dst` untouched.
+pub fn f32s_into(dst: &mut [f32], src: &[u8]) -> Result<()> {
+    if src.len() != 4 * dst.len() {
+        return Err(Error::corrupt(format!(
+            "{} bytes do not hold {} f32s",
+            src.len(),
+            dst.len()
+        )));
     }
+    for (v, b) in dst.iter_mut().zip(src.chunks_exact(4)) {
+        *v = f32::from_le_bytes(b.try_into().expect("4-byte chunk"));
+    }
+    Ok(())
 }
 
 /// Sequential reader over a byte buffer with explicit error reporting.
@@ -111,11 +133,10 @@ impl<'a> Reader<'a> {
             .checked_mul(4)
             .ok_or_else(|| Error::corrupt(format!("f32 slice length {n} overflows byte count")))?;
         let bytes = self.take(nbytes)?;
-        let mut out = Vec::with_capacity(n);
-        for c in bytes.chunks_exact(4) {
-            out.push(f32::from_le_bytes(c.try_into().unwrap()));
-        }
-        Ok(out)
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+            .collect())
     }
 
     /// Read a `u32` record-count prefix, validating the claimed count
@@ -327,6 +348,58 @@ mod tests {
             let a: Vec<u32> = xs.iter().map(|x| x.to_bits()).collect();
             let b: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
             prop_assert_eq!(a, b);
+        }
+
+        #[test]
+        fn prop_put_f32_slice_matches_per_element_reference(
+            prefix in proptest::collection::vec(any::<u8>(), 1..8),
+            bits in proptest::collection::vec(any::<u32>(), 0..200),
+        ) {
+            let xs: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+            let mut want = prefix.clone();
+            for x in &xs {
+                want.extend_from_slice(&x.to_le_bytes());
+            }
+            let mut got = prefix;
+            put_f32_slice(&mut got, &xs);
+            prop_assert_eq!(got, want);
+        }
+
+        #[test]
+        fn prop_f32_decode_at_every_start_offset(
+            bits in proptest::collection::vec(any::<u32>(), 0..200),
+        ) {
+            for offset in 0..4 {
+                // `offset` junk bytes first, so the floats sit at every
+                // alignment a mapped blob or a ranged read can hand over.
+                let mut buf = vec![0xA5u8; offset];
+                for b in &bits {
+                    buf.extend_from_slice(&b.to_le_bytes());
+                }
+                let body = &buf[offset..];
+                let mut r = Reader::new(body);
+                let sliced: Vec<u32> =
+                    r.f32_slice(bits.len()).unwrap().iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(&sliced, &bits);
+                prop_assert_eq!(r.remaining(), 0);
+                let mut dst = vec![0.0f32; bits.len()];
+                f32s_into(&mut dst, body).unwrap();
+                let into: Vec<u32> = dst.iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(&into, &bits);
+            }
+        }
+
+        #[test]
+        fn prop_f32s_into_length_mismatch_is_corrupt_and_untouched(
+            bits in proptest::collection::vec(any::<u32>(), 0..64),
+            src_len in 0usize..300,
+        ) {
+            let mut dst: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+            let src_len = if src_len == 4 * dst.len() { src_len + 1 } else { src_len };
+            let src = vec![0x5Au8; src_len];
+            prop_assert!(matches!(f32s_into(&mut dst, &src), Err(Error::Corrupt(_))));
+            let after: Vec<u32> = dst.iter().map(|x| x.to_bits()).collect();
+            prop_assert_eq!(after, bits);
         }
 
         #[test]

@@ -247,32 +247,38 @@ impl Fleet {
 
         let n_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
         let chunk = tasks.len().div_ceil(n_threads).max(1);
-        let results: Vec<Result<Vec<(usize, ParamDict, ModelUpdate)>>> =
-            crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = tasks
-                    .chunks(chunk)
-                    .map(|chunk_tasks| {
-                        s.spawn(move |_| -> Result<Vec<(usize, ParamDict, ModelUpdate)>> {
-                            let mut out = Vec::with_capacity(chunk_tasks.len());
-                            for (idx, kind) in chunk_tasks {
-                                let dataset = source.dataset(*idx, cycle, seed);
-                                let dref = registry.put(&dataset)?;
-                                let update = ModelUpdate {
-                                    model_idx: *idx,
-                                    kind: kind.clone(),
-                                    dataset: dref,
-                                    seed: SplitMix64::derive(seed, "train-update", cycle << 32 | *idx as u64),
-                                };
-                                let params = apply_update(arch, &models[*idx], &update, &train, &dataset);
-                                out.push((*idx, params, update));
-                            }
-                            Ok(out)
-                        })
+        let results: Vec<Result<Vec<(usize, ParamDict, ModelUpdate)>>> = std::thread::scope(|s| {
+            let handles: Vec<_> = tasks
+                .chunks(chunk)
+                .map(|chunk_tasks| {
+                    s.spawn(move || -> Result<Vec<(usize, ParamDict, ModelUpdate)>> {
+                        let mut out = Vec::with_capacity(chunk_tasks.len());
+                        for (idx, kind) in chunk_tasks {
+                            let dataset = source.dataset(*idx, cycle, seed);
+                            let dref = registry.put(&dataset)?;
+                            let update = ModelUpdate {
+                                model_idx: *idx,
+                                kind: kind.clone(),
+                                dataset: dref,
+                                seed: SplitMix64::derive(
+                                    seed,
+                                    "train-update",
+                                    cycle << 32 | *idx as u64,
+                                ),
+                            };
+                            let params =
+                                apply_update(arch, &models[*idx], &update, &train, &dataset);
+                            out.push((*idx, params, update));
+                        }
+                        Ok(out)
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-            })
-            .expect("crossbeam scope failed");
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        });
 
         let mut updates = Vec::with_capacity(tasks.len());
         for r in results {

@@ -10,7 +10,7 @@
 //!
 //! * [`fleet`] — the in-memory fleet: per-model parameters plus the
 //!   deterministic update-cycle procedure (parallelized across models
-//!   with crossbeam; safe because every model's training is seed-isolated).
+//!   with scoped threads; safe because every model's training is seed-isolated).
 //! * [`source`] — where the training data comes from: the battery ECM
 //!   pipeline (the running example) or the synthetic CIFAR generator.
 //!
