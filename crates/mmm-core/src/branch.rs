@@ -512,9 +512,13 @@ pub fn advance(env: &ManagementEnv, name: &str, new_head: &ModelSetId) -> Result
     });
     let doc_id = env.with_retry(|| env.docs().insert(BRANCHES_COLLECTION, doc.clone()))?;
     commit::commit_save(env, &branch_commit_id(doc_id))?;
+    #[cfg(test)]
+    tests::after_commit();
     // Retire every older document for this name (tolerating replays).
+    // A newer one is a concurrent advance's head: readers take the
+    // newest, so it stays.
     for (old_id, _) in env.docs().find_eq(BRANCHES_COLLECTION, "branch", &json!(name))? {
-        if old_id == doc_id {
+        if old_id >= doc_id {
             continue;
         }
         commit::decommit(env, &branch_commit_id(old_id))?;
@@ -729,6 +733,57 @@ mod tests {
         assert_eq!(b2.nodes.len(), 2);
         // A set not descending from the head is refused.
         assert!(advance(&env, "dev", &id0).is_err());
+    }
+
+    thread_local! {
+        /// Run by [`advance`] between committing its new head and
+        /// retiring older ones, on the threads that install it.
+        static AFTER_COMMIT: std::cell::RefCell<Option<Box<dyn Fn()>>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    pub(super) fn after_commit() {
+        AFTER_COMMIT.with(|hook| hook.borrow().as_ref().map(|hook| hook()));
+    }
+
+    /// Two writers advancing one branch at the same moment: each commits
+    /// its new head before either retires anything. The newer head must
+    /// survive as the branch, and the older one be retired.
+    #[test]
+    fn concurrent_advances_of_one_branch_keep_the_newest_head() {
+        use std::sync::{Arc, Barrier};
+        let (_d, env) = env();
+        let mut saver = UpdateSaver::new();
+        let mut s = set(2, 9);
+        let id0 = saver.save_initial(&env, &s).unwrap();
+        let b = fork(&env, &id0, 0, "dev").unwrap();
+        s.models[0].layers[0].data[0] += 1.0;
+        let id1 = saver.save_set(&env, &s, Some(&deriv(&b.head))).unwrap();
+        // Each advance waits after its commit until the other has
+        // committed too. Both go to the same head, which is a valid
+        // fast-forward whichever head the other's lookup finds.
+        let both_committed = Arc::new(Barrier::new(2));
+        let advanced: Vec<Branch> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    let (env, head, barrier) = (&env, &id1, Arc::clone(&both_committed));
+                    s.spawn(move || {
+                        let rendezvous = move || {
+                            barrier.wait();
+                        };
+                        AFTER_COMMIT.with(|hook| *hook.borrow_mut() = Some(Box::new(rendezvous)));
+                        advance(env, "dev", head).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let newest = advanced.iter().max_by_key(|b| b.doc_id).unwrap();
+        assert_eq!(branch_by_name(&env, "dev").unwrap(), *newest);
+        let docs = env.docs().find_eq(BRANCHES_COLLECTION, "branch", &json!("dev")).unwrap();
+        let ids: Vec<u64> = docs.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, vec![newest.doc_id], "every older head is retired");
+        assert!(commit::is_committed(&env, &branch_commit_id(newest.doc_id)).unwrap());
     }
 
     #[test]

@@ -69,8 +69,7 @@ impl fmt::Display for SetKind {
 /// Bytes a set occupies in the blob store, split by storage tier.
 /// On the plain and CAS backends everything counts as hot; only the
 /// tiered backend can report a cold share. Accounting is best-effort:
-/// blobs that vanish mid-walk count as zero rather than failing the
-/// listing.
+/// blobs that vanish mid-listing count as zero rather than failing it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierBytes {
     /// Total stored bytes across all tiers.
@@ -95,14 +94,15 @@ pub struct SetSummary {
     /// The branch this set was forked onto, when it is a fork node.
     pub branch: Option<String>,
     /// Stored bytes, split by tier — carried on the row so catalog
-    /// consumers never need a second store walk.
+    /// consumers never need a second store listing.
     pub bytes_stored: TierBytes,
 }
 
 /// Sum the sizes of the blobs `keys`, attributing each to its tier.
-/// Best-effort: a key that fails to stat (deleted mid-walk, or a
-/// fault-injection hiccup) contributes zero instead of failing the
-/// whole catalog listing.
+/// Sizes come from the blob store's metadata: a file stat on the plain
+/// backend, the key index on CAS (no manifest read). Best-effort: a key
+/// without a size (deleted mid-listing, or a corrupt manifest)
+/// contributes zero instead of failing the whole catalog listing.
 fn tier_bytes<'k>(env: &ManagementEnv, keys: impl IntoIterator<Item = &'k String>) -> TierBytes {
     let mut out = TierBytes::default();
     for key in keys {
@@ -169,9 +169,10 @@ fn sort_rows(rows: &mut [SetSummary]) {
 pub fn list_sets(env: &ManagementEnv) -> Result<Vec<SetSummary>> {
     let mut out = Vec::new();
     let committed = commit::committed_ids(env)?;
-    // Blob sizes come from one walk of an approach's directory, made
-    // when its first row is listed; a listing that fails counts as no
-    // blobs (best-effort, as above).
+    // Blob keys come from one listing of an approach's directory (a
+    // directory walk on the plain backend, a range of the key index on
+    // CAS), made when its first row is listed; a listing that fails
+    // counts as no blobs (best-effort, as above).
     let blobs_of = |approach: &str| layout::blobs_by_dir(env, approach).unwrap_or_default();
 
     // Set-oriented approaches: one document per set, read in place by

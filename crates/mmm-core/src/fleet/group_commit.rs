@@ -18,7 +18,7 @@
 //! the chaos harness asserts.
 
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use serde_json::json;
@@ -26,7 +26,7 @@ use serde_json::json;
 use crate::commit::COMMITS_COLLECTION;
 use crate::env::ManagementEnv;
 use crate::model_set::ModelSetId;
-use mmm_util::{Error, Result};
+use mmm_util::{Error, Result, Unpoison};
 
 /// While a leader writes on behalf of a batch it acts under the group's
 /// collective authority, not its own request budget: one member's
@@ -171,10 +171,7 @@ impl GroupCommitter {
                 self.cv.notify_all();
                 continue;
             }
-            st = match self.cv.wait(st) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            st = self.cv.wait(st).unpoison();
         }
     }
 
@@ -193,7 +190,7 @@ impl GroupCommitter {
         }
         let mut st = self.lock_state();
         while st.writing {
-            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st = self.cv.wait(st).unpoison();
         }
         st.writing = true;
         drop(st);
@@ -215,10 +212,7 @@ impl GroupCommitter {
         // A tenant thread that panicked mid-commit must not wedge every
         // other tenant: the state is a queue of plain data, consistent
         // at every await point, so we keep serving after a poison.
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.state.lock().unpoison()
     }
 }
 

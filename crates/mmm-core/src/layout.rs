@@ -81,8 +81,8 @@ pub(crate) fn dir_of(key: &str) -> &str {
 }
 
 /// Every blob stored under `approach`'s directory, grouped by the
-/// document directory ([`doc_dir`]) it sits in: one walk instead of one
-/// probe per document.
+/// document directory ([`doc_dir`]) it sits in: one listing (a walk on
+/// the plain backend, an index range on CAS) instead of one per document.
 pub(crate) fn blobs_by_dir(
     env: &ManagementEnv,
     approach: &str,

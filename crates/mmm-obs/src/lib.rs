@@ -42,12 +42,11 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mmm_util::parallel::WorkerHook;
-use mmm_util::VirtualClock;
-use parking_lot::Mutex;
+use mmm_util::{Unpoison, VirtualClock};
 use serde::Serialize;
 
 pub mod http;
@@ -232,7 +231,7 @@ impl Observer {
     /// clock is attached report zero simulated time.
     pub fn attach_clock(&self, clock: &VirtualClock) {
         if let Some(inner) = &self.inner {
-            *inner.clock.lock() = Some(clock.clone());
+            *inner.clock.lock().unpoison() = Some(clock.clone());
         }
     }
 
@@ -241,7 +240,7 @@ impl Observer {
     /// groups by this string.
     pub fn set_context(&self, ctx: impl Into<String>) {
         if let Some(inner) = &self.inner {
-            *inner.ctx.lock() = ctx.into();
+            *inner.ctx.lock().unpoison() = ctx.into();
         }
     }
 
@@ -283,14 +282,14 @@ impl Observer {
         FRAMES.with(|f| {
             f.borrow_mut().push(Frame { obs: inner.id, span: Some(id), parent, lane })
         });
-        let sim_start = inner.clock.lock().as_ref().map(|c| c.thread_simulated());
+        let sim_start = inner.clock.lock().unpoison().as_ref().map(|c| c.thread_simulated());
         SpanGuard {
             inner: Some(inner.clone()),
             open: Some(OpenSpan {
                 id,
                 parent,
                 name,
-                ctx: inner.ctx.lock().clone(),
+                ctx: inner.ctx.lock().unpoison().clone(),
                 lane,
                 op_index,
                 tag,
@@ -312,8 +311,8 @@ impl Observer {
             eprintln!("[{}] {}", level.as_str(), message);
         }
         let seq = inner.next_seq.fetch_add(1, Ordering::Relaxed);
-        let ctx = inner.ctx.lock().clone();
-        let mut events = inner.events.lock();
+        let ctx = inner.ctx.lock().unpoison().clone();
+        let mut events = inner.events.lock().unpoison();
         if events.len() == EVENT_CAPACITY {
             events.pop_front();
         }
@@ -394,7 +393,7 @@ impl Observer {
     /// Snapshot of the finished-span ring, in close order.
     pub fn finished_spans(&self) -> Vec<SpanRecord> {
         match &self.inner {
-            Some(inner) => inner.spans.lock().iter().cloned().collect(),
+            Some(inner) => inner.spans.lock().unpoison().iter().cloned().collect(),
             None => Vec::new(),
         }
     }
@@ -407,7 +406,7 @@ impl Observer {
     /// Recorded events, oldest first.
     pub fn events(&self) -> Vec<EventRecord> {
         match &self.inner {
-            Some(inner) => inner.events.lock().iter().cloned().collect(),
+            Some(inner) => inner.events.lock().unpoison().iter().cloned().collect(),
             None => Vec::new(),
         }
     }
@@ -477,7 +476,7 @@ impl Drop for SpanGuard {
         let real_ns = open.real_start.elapsed().as_nanos() as u64;
         let sim_ns = match open.sim_start {
             Some(start) => {
-                let now = inner.clock.lock().as_ref().map(|c| c.thread_simulated());
+                let now = inner.clock.lock().unpoison().as_ref().map(|c| c.thread_simulated());
                 now.map_or(0, |n| n.saturating_sub(start).as_nanos() as u64)
             }
             None => 0,
@@ -508,7 +507,7 @@ impl Drop for SpanGuard {
             real_ns,
             sim_ns,
         };
-        let mut spans = inner.spans.lock();
+        let mut spans = inner.spans.lock().unpoison();
         if spans.len() == inner.capacity {
             spans.pop_front();
             inner.dropped.fetch_add(1, Ordering::Relaxed);

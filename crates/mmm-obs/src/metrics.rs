@@ -5,8 +5,9 @@
 //! `BTreeMap`s so the exported text is deterministically ordered.
 
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
+use mmm_util::Unpoison;
 
 /// Sub-bucket resolution of the histogram: each power-of-two range is
 /// split into `2^SUB_BITS` linear sub-buckets (≤ ~25% relative error).
@@ -277,7 +278,7 @@ impl MetricsRegistry {
 
     /// Add `v` to the counter `key`.
     pub fn inc(&self, key: &str, v: u64) {
-        let mut c = self.counters.lock();
+        let mut c = self.counters.lock().unpoison();
         let (key, dropped) = admit(&c, key, self.label_cap);
         let bump = |c: &mut BTreeMap<String, u64>, key: String, v: u64| match c.get_mut(&key) {
             Some(slot) => *slot = slot.saturating_add(v),
@@ -294,7 +295,7 @@ impl MetricsRegistry {
     /// Record `v` into the histogram `key`.
     pub fn observe(&self, key: &str, v: u64) {
         let dropped = {
-            let mut h = self.histograms.lock();
+            let mut h = self.histograms.lock().unpoison();
             let (key, dropped) = admit(&h, key, self.label_cap);
             h.entry(key).or_default().record(v);
             dropped
@@ -309,7 +310,7 @@ impl MetricsRegistry {
     /// queue depth, unlike monotone counters).
     pub fn set_gauge(&self, key: &str, v: u64) {
         let dropped = {
-            let mut g = self.gauges.lock();
+            let mut g = self.gauges.lock().unpoison();
             let (key, dropped) = admit(&g, key, self.label_cap);
             g.insert(key, v);
             dropped
@@ -321,32 +322,32 @@ impl MetricsRegistry {
 
     /// Current value of gauge `key` (0 if never set).
     pub fn gauge(&self, key: &str) -> u64 {
-        self.gauges.lock().get(key).copied().unwrap_or(0)
+        self.gauges.lock().unpoison().get(key).copied().unwrap_or(0)
     }
 
     /// Names (with labels) of all registered gauges.
     pub fn gauge_keys(&self) -> Vec<String> {
-        self.gauges.lock().keys().cloned().collect()
+        self.gauges.lock().unpoison().keys().cloned().collect()
     }
 
     /// Current value of counter `key` (0 if never incremented).
     pub fn counter(&self, key: &str) -> u64 {
-        self.counters.lock().get(key).copied().unwrap_or(0)
+        self.counters.lock().unpoison().get(key).copied().unwrap_or(0)
     }
 
     /// Snapshot of histogram `key`, if it has been observed.
     pub fn histogram(&self, key: &str) -> Option<Histogram> {
-        self.histograms.lock().get(key).cloned()
+        self.histograms.lock().unpoison().get(key).cloned()
     }
 
     /// Names (with labels) of all registered counters.
     pub fn counter_keys(&self) -> Vec<String> {
-        self.counters.lock().keys().cloned().collect()
+        self.counters.lock().unpoison().keys().cloned().collect()
     }
 
     /// Names (with labels) of all registered histograms.
     pub fn histogram_keys(&self) -> Vec<String> {
-        self.histograms.lock().keys().cloned().collect()
+        self.histograms.lock().unpoison().keys().cloned().collect()
     }
 
     /// Render everything in the Prometheus text exposition format.
@@ -358,7 +359,7 @@ impl MetricsRegistry {
         // `# TYPE` header even when labelled and unlabelled keys of the
         // same family are interleaved with other families in sort order.
         let mut out = String::new();
-        let counters = self.counters.lock().clone();
+        let counters = self.counters.lock().unpoison().clone();
         let mut families: BTreeMap<String, Vec<(String, u64)>> = BTreeMap::new();
         for (key, value) in &counters {
             let (name, _) = split_key(key);
@@ -370,7 +371,7 @@ impl MetricsRegistry {
                 out.push_str(&format!("{key} {value}\n"));
             }
         }
-        let gauges = self.gauges.lock().clone();
+        let gauges = self.gauges.lock().unpoison().clone();
         let mut families: BTreeMap<String, Vec<(String, u64)>> = BTreeMap::new();
         for (key, value) in &gauges {
             let (name, _) = split_key(key);
@@ -382,7 +383,7 @@ impl MetricsRegistry {
                 out.push_str(&format!("{key} {value}\n"));
             }
         }
-        let histograms = self.histograms.lock().clone();
+        let histograms = self.histograms.lock().unpoison().clone();
         let mut families: BTreeMap<String, Vec<(String, &Histogram)>> = BTreeMap::new();
         for (key, hist) in &histograms {
             let (name, _) = split_key(key);

@@ -132,9 +132,10 @@ pub fn trace_jsonl(records: &[SpanRecord]) -> String {
 /// small fixed vocabulary, so the leaked set stays tiny; interning keeps
 /// re-parsed records compatible with the `&'static str` span schema.
 fn intern_name(name: &str) -> &'static str {
-    use std::sync::OnceLock;
-    static NAMES: OnceLock<parking_lot::Mutex<BTreeMap<String, &'static str>>> = OnceLock::new();
-    let mut map = NAMES.get_or_init(|| parking_lot::Mutex::new(BTreeMap::new())).lock();
+    use mmm_util::Unpoison;
+    use std::sync::{Mutex, OnceLock};
+    static NAMES: OnceLock<Mutex<BTreeMap<String, &'static str>>> = OnceLock::new();
+    let mut map = NAMES.get_or_init(|| Mutex::new(BTreeMap::new())).lock().unpoison();
     if let Some(s) = map.get(name) {
         return s;
     }

@@ -35,23 +35,23 @@
 //! first, so a crash can only leak *unreferenced* chunks (plus in-memory
 //! refcount drift that dies with the process). Leaked chunks are found by
 //! [`CasStore::audit`] and reclaimed by [`CasStore::reclaim_orphans`];
-//! they never corrupt live blobs. The in-memory refcount index is rebuilt
-//! from the manifests on every [`CasStore::open`], so it never has to be
+//! they never corrupt live blobs. The in-memory indexes (chunk
+//! refcounts, and each logical key's length) are rebuilt from the
+//! manifests on every [`CasStore::open`], so they never have to be
 //! persisted atomically.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, RwLock};
 
 use mmm_obs::Observer;
-use mmm_util::{codec, xxhash64, Error, Result, VirtualClock};
+use mmm_util::{codec, xxhash64, Error, Result, Unpoison, VirtualClock};
 
 use crate::fault::FaultInjector;
 use crate::file_store::FileStore;
 use crate::profile::LatencyProfile;
 use crate::stats::StoreStats;
-
-use parking_lot::Mutex;
 
 /// Reserved key namespace for chunk payloads (and any future CAS
 /// bookkeeping). Logical blob keys must not start with this prefix.
@@ -73,6 +73,10 @@ pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
 
 /// Default recovery-cache budget (64 MiB).
 pub const DEFAULT_CACHE_BYTES: u64 = 64 * 1024 * 1024;
+
+/// Each logical key's length, as its manifest states it; `None` for a
+/// manifest that is on disk but does not decode.
+type KeyIndex = BTreeMap<String, Option<u64>>;
 
 /// Identity of one stored chunk: content digest plus exact length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -241,13 +245,17 @@ pub struct CasStore {
     profile: LatencyProfile,
     config: CasConfig,
     state: Mutex<CasState>,
+    /// Answers `size`, `exists` and `list_keys` without a disk read; kept
+    /// in step by put and delete. Its own lock, because `state` is held
+    /// across every chunk write of a put.
+    keys: RwLock<KeyIndex>,
     counters: AtomicCounters,
     obs: Observer,
 }
 
 impl CasStore {
     /// Open (creating if needed) a content-addressed store rooted at
-    /// `dir`, rebuilding the refcount index from the stored manifests.
+    /// `dir`, rebuilding both indexes from the stored manifests.
     pub fn open(
         dir: impl AsRef<Path>,
         profile: LatencyProfile,
@@ -257,17 +265,19 @@ impl CasStore {
         config: CasConfig,
     ) -> Result<Self> {
         let inner = FileStore::open_with_faults(dir, profile, clock, stats, faults)?;
-        let store = CasStore {
+        let mut refs: HashMap<ChunkId, u32> = HashMap::new();
+        let keys = scan_manifests(&inner, |_, ids| {
+            ids.into_iter().for_each(|id| *refs.entry(id).or_insert(0) += 1)
+        })?;
+        Ok(CasStore {
             inner,
             profile,
             config,
-            state: Mutex::new(CasState::default()),
+            state: Mutex::new(CasState { refs, ..CasState::default() }),
+            keys: RwLock::new(keys),
             counters: AtomicCounters::default(),
             obs: Observer::disabled(),
-        };
-        let refs = store.refs_from_manifests()?;
-        store.state.lock().refs = refs;
-        Ok(store)
+        })
     }
 
     /// Install an observer mirroring dedup/cache activity into metrics.
@@ -301,7 +311,7 @@ impl CasStore {
 
     /// Bytes currently held by the recovery cache.
     pub fn cache_used_bytes(&self) -> u64 {
-        self.state.lock().cache_used
+        self.state.lock().unpoison().cache_used
     }
 
     /// Store a blob with fixed-size chunking. See
@@ -322,10 +332,11 @@ impl CasStore {
             )));
         }
         // Chunks a previous version of this key referenced, to release
-        // after the new manifest lands.
-        let old_ids = match self.inner.read_local(key) {
-            Ok(m) => decode_manifest(&m).map(|(_, ids)| ids).ok(),
-            Err(_) => None,
+        // after the new manifest lands. Only a key the index holds has one.
+        let old_ids = if self.keys.read().unpoison().contains_key(key) {
+            self.inner.read_local(key).ok().and_then(|m| decode_manifest(&m).ok())
+        } else {
+            None
         };
         let spans = chunk_spans(bytes.len(), boundaries, self.config.chunk_size);
         let ids = self.store_chunks(bytes, &spans)?;
@@ -334,7 +345,7 @@ impl CasStore {
             // The manifest never landed: drop the references we took.
             // Chunk files written for them may survive as orphans; audit
             // reclaims those.
-            let mut st = self.state.lock();
+            let mut st = self.state.lock().unpoison();
             for id in &ids {
                 if let Some(r) = st.refs.get_mut(id) {
                     *r = r.saturating_sub(1);
@@ -345,7 +356,8 @@ impl CasStore {
             }
             return Err(e);
         }
-        if let Some(old) = old_ids {
+        self.keys.write().unpoison().insert(key.to_string(), Some(bytes.len() as u64));
+        if let Some((_, old)) = old_ids {
             self.release_chunks(&old)?;
         }
         Ok(())
@@ -357,7 +369,7 @@ impl CasStore {
     /// exists-check against each other's in-flight writes.
     fn store_chunks(&self, bytes: &[u8], spans: &[(usize, usize)]) -> Result<Vec<ChunkId>> {
         let mut ids = Vec::with_capacity(spans.len());
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unpoison();
         for &(start, end) in spans {
             let data = &bytes[start..end];
             let id = ChunkId::of(data);
@@ -402,7 +414,7 @@ impl CasStore {
     fn release_chunks(&self, ids: &[ChunkId]) -> Result<()> {
         for id in ids {
             let reclaim = {
-                let mut st = self.state.lock();
+                let mut st = self.state.lock().unpoison();
                 match st.refs.get_mut(id) {
                     Some(r) => {
                         *r = r.saturating_sub(1);
@@ -485,7 +497,7 @@ impl CasStore {
     /// populates the cache.
     fn chunk_bytes(&self, id: &ChunkId, owner: &str) -> Result<Vec<u8>> {
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.lock().unpoison();
             st.tick += 1;
             let tick = st.tick;
             if let Some(e) = st.cache.get_mut(id) {
@@ -514,25 +526,23 @@ impl CasStore {
                 id.len
             )));
         }
-        self.state.lock().cache_insert(*id, bytes.clone(), self.config.cache_bytes);
+        self.state.lock().unpoison().cache_insert(*id, bytes.clone(), self.config.cache_bytes);
         Ok(bytes)
     }
 
-    /// Whether a logical blob exists (not charged).
+    /// Whether a logical blob exists (not charged; from the key index).
     pub fn exists(&self, key: &str) -> bool {
-        self.inner.exists(key)
+        self.keys.read().unpoison().contains_key(key)
     }
 
-    /// Logical size of a stored blob in bytes (not charged — manifest
-    /// metadata, like [`FileStore::size`]).
+    /// Logical size of a stored blob in bytes (not charged — the length
+    /// its manifest states, from the key index).
     pub fn size(&self, key: &str) -> Result<u64> {
-        let manifest = self
-            .inner
-            .read_local(key)
-            .map_err(|_| Error::not_found(format!("blob {key:?}")))?;
-        let (total, _) = decode_manifest(&manifest)
-            .map_err(|_| Error::corrupt(format!("blob {key:?} has a corrupt CAS manifest")))?;
-        Ok(total)
+        match self.keys.read().unpoison().get(key) {
+            Some(Some(total)) => Ok(*total),
+            Some(None) => Err(Error::corrupt(format!("blob {key:?} has a corrupt CAS manifest"))),
+            None => Err(Error::not_found(format!("blob {key:?}"))),
+        }
     }
 
     /// Delete a logical blob: removes its manifest (one charged delete)
@@ -544,7 +554,7 @@ impl CasStore {
             // the chunk file directly and drop any index entry.
             self.inner.delete(key)?;
             if let Some(id) = ChunkId::parse_key(key) {
-                let mut st = self.state.lock();
+                let mut st = self.state.lock().unpoison();
                 st.refs.remove(&id);
                 st.cache_remove(&id);
             }
@@ -554,18 +564,28 @@ impl CasStore {
             Ok(m) => decode_manifest(&m).map(|(_, ids)| ids).unwrap_or_default(),
             Err(_) => Vec::new(), // missing → let inner.delete report NotFound
         };
-        self.inner.delete(key)?;
+        let deleted = self.inner.delete(key);
+        if let Ok(()) | Err(Error::NotFound(_)) = deleted {
+            self.keys.write().unpoison().remove(key);
+        }
+        deleted?;
         self.release_chunks(&ids)
     }
 
-    /// All logical keys under a prefix (chunk payloads are filtered out).
+    /// All logical keys under a prefix, sorted, from the key index, with
+    /// [`FileStore::list_keys`]'s path semantics: `""` lists every key,
+    /// otherwise the key `prefix` itself or the keys under `prefix/`.
     pub fn list_keys(&self, prefix: &str) -> Result<Vec<String>> {
-        Ok(self
-            .inner
-            .list_keys(prefix)?
-            .into_iter()
-            .filter(|k| !k.starts_with(CAS_PREFIX))
-            .collect())
+        let keys = self.keys.read().unpoison();
+        Ok(match prefix {
+            "" => keys.keys().cloned().collect(),
+            _ if keys.contains_key(prefix) => vec![prefix.to_string()],
+            _ => {
+                let dir = format!("{}/", prefix.trim_end_matches('/'));
+                let under = keys.range(dir.clone()..).map(|(k, _)| k);
+                under.take_while(|k| k.starts_with(&dir)).cloned().collect()
+            }
+        })
     }
 
     /// Ground-truth disk usage: manifests plus deduplicated chunk
@@ -600,37 +620,17 @@ impl CasStore {
         Ok(())
     }
 
-    /// Recompute the chunk refcounts implied by every stored manifest
-    /// (uncharged local reads).
-    fn refs_from_manifests(&self) -> Result<HashMap<ChunkId, u32>> {
-        let mut refs: HashMap<ChunkId, u32> = HashMap::new();
-        for key in self.list_keys("")? {
-            let Ok(bytes) = self.inner.read_local(&key) else { continue };
-            if let Ok((_, ids)) = decode_manifest(&bytes) {
-                for id in ids {
-                    *refs.entry(id).or_insert(0) += 1;
-                }
-            }
-        }
-        Ok(refs)
-    }
-
     /// Cross-check manifests, the refcount index, and the on-disk chunk
-    /// population; resyncs the in-memory index to the manifests. Entirely
-    /// uncharged (maintenance path).
+    /// population; resyncs both in-memory indexes to the manifests.
+    /// Entirely uncharged (maintenance path).
     pub fn audit(&self) -> Result<CasAudit> {
         let mut report = CasAudit::default();
         // Who references which chunk, straight from the manifests.
         let mut owners: HashMap<ChunkId, Vec<String>> = HashMap::new();
-        for key in self.list_keys("")? {
-            let Ok(bytes) = self.inner.read_local(&key) else { continue };
-            if let Ok((_, ids)) = decode_manifest(&bytes) {
-                report.manifests += 1;
-                for id in ids {
-                    owners.entry(id).or_default().push(key.clone());
-                }
-            }
-        }
+        let keys = scan_manifests(&self.inner, |key, ids| {
+            ids.into_iter().for_each(|id| owners.entry(id).or_default().push(key.to_string()))
+        })?;
+        report.manifests = keys.values().filter(|total| total.is_some()).count();
         report.referenced_chunks = owners.len();
         let mut refs: HashMap<ChunkId, u32> = HashMap::new();
         for (id, who) in &owners {
@@ -662,8 +662,9 @@ impl CasStore {
         report.orphan_chunks.sort();
         report.corrupt_chunks.sort();
         report.missing_chunks.sort();
-        // Resync the live index, counting how far it had drifted.
-        let mut st = self.state.lock();
+        // Resync the live indexes, counting how far refcounts had drifted.
+        *self.keys.write().unpoison() = keys;
+        let mut st = self.state.lock().unpoison();
         let mut drift = 0usize;
         for (id, n) in &refs {
             if st.refs.get(id).copied().unwrap_or(0) != *n {
@@ -693,7 +694,7 @@ impl CasStore {
                     count += 1;
                     bytes += size;
                     if let Some(id) = ChunkId::parse_key(key) {
-                        let mut st = self.state.lock();
+                        let mut st = self.state.lock().unpoison();
                         st.refs.remove(&id);
                         st.cache_remove(&id);
                     }
@@ -704,6 +705,22 @@ impl CasStore {
         }
         Ok((count, bytes))
     }
+}
+
+/// Read every stored manifest once (uncharged local reads): each logical
+/// key's length for the key index, and each decoded manifest's chunk
+/// list handed to `each`. A key that vanishes mid-walk is skipped.
+fn scan_manifests(inner: &FileStore, mut each: impl FnMut(&str, Vec<ChunkId>)) -> Result<KeyIndex> {
+    let mut keys = KeyIndex::new();
+    for key in inner.list_keys("")?.into_iter().filter(|k| !k.starts_with(CAS_PREFIX)) {
+        let Ok(bytes) = inner.read_local(&key) else { continue };
+        let total = decode_manifest(&bytes).ok().map(|(total, ids)| {
+            each(&key, ids);
+            total
+        });
+        keys.insert(key, total);
+    }
+    Ok(keys)
 }
 
 /// Split `[0, len)` into chunk spans: cuts at each caller boundary inside
@@ -1040,6 +1057,84 @@ mod tests {
             "dedup'd put billed {second} bytes for a {} byte blob",
             data.len()
         );
+    }
+
+    /// Keys that share stems (`a/1`, `a/10`, `a/1x`) and directories.
+    const KEYS: [&str; 7] = ["a/1", "a/10", "a/1x", "a/2/x", "b/1/p.bin", "b/1/q.bin", "c"];
+
+    /// `list_keys`, `exists` and `size` against the disk: the logical
+    /// keys `inner` lists, and the lengths their manifests decode to.
+    fn assert_index_matches_disk(cas: &CasStore, step: &str) {
+        let disk = |prefix: &str| -> Vec<String> {
+            let keys = cas.inner.list_keys(prefix).unwrap().into_iter();
+            keys.filter(|k| !k.starts_with(CAS_PREFIX)).collect()
+        };
+        for prefix in ["", "a", "a/", "b/1", "a/2", "a/1", "a/10", "b/1/p.bin", "missing", "c"] {
+            let on_disk = disk(prefix);
+            assert_eq!(cas.list_keys(prefix).unwrap(), on_disk, "{step}: list_keys({prefix:?})");
+            let is_blob = on_disk.iter().any(|k| k == prefix);
+            assert_eq!(cas.exists(prefix), is_blob, "{step}: exists({prefix:?})");
+        }
+        for key in KEYS {
+            let manifest = cas.inner.read_local(key);
+            match (cas.size(key), manifest.map(|m| decode_manifest(&m).map(|(total, _)| total))) {
+                (Ok(size), Ok(Ok(total))) => assert_eq!(size, total, "{step}: size({key:?})"),
+                (Err(Error::Corrupt(_)), Ok(Err(_))) | (Err(Error::NotFound(_)), Err(_)) => {}
+                (size, disk) => panic!("{step}: size({key:?}) = {size:?}, disk says {disk:?}"),
+            }
+        }
+    }
+
+    /// Seeded sequences of puts, overwrites, deletes of present and
+    /// missing keys, torn, crashed and bit-flipped writes, and reopens:
+    /// after every step the key index answers what the disk says. A
+    /// flipped manifest is only on disk, so flip steps are checked after
+    /// a reopen has rebuilt the index.
+    #[test]
+    fn key_index_matches_the_disk() {
+        use crate::fault::{FaultPlan, FaultTarget, OpClass};
+        use mmm_util::{Rng, SplitMix64};
+        let config = CasConfig { chunk_size: 64, ..CasConfig::default() };
+        for seed in 0..12u64 {
+            let dir = TempDir::new("mmm-cas").unwrap();
+            let mut cas = open(dir.path(), config);
+            let mut rng = SplitMix64::new(seed);
+            for step in 0..80 {
+                let key = KEYS[rng.below(KEYS.len() as u64) as usize];
+                // Few distinct fills, so chunks dedup across keys.
+                let data = vec![rng.below(3) as u8; rng.below(300) as usize];
+                let puts = FaultTarget::Class(OpClass::BlobPut);
+                let at = rng.below(6);
+                let (op, reopen) = match rng.below(9) {
+                    0..=2 => ("put", false),
+                    3 | 4 => ("delete", false),
+                    5 => {
+                        cas.faults().arm(FaultPlan::torn_write_at(puts, at, 10));
+                        ("torn put", false)
+                    }
+                    6 => {
+                        cas.faults().arm(FaultPlan::crash_at(puts, at));
+                        ("crashed put", false)
+                    }
+                    7 => {
+                        cas.faults().arm(FaultPlan::bit_flip_at(puts, at, 3, step));
+                        ("flipped put", true)
+                    }
+                    _ => ("reopen", true),
+                };
+                match op {
+                    "delete" => drop(cas.delete(key)),
+                    "reopen" => {}
+                    _ => drop(cas.put(key, &data)),
+                }
+                cas.faults().disarm_all();
+                if reopen {
+                    drop(cas);
+                    cas = open(dir.path(), config);
+                }
+                assert_index_matches_disk(&cas, &format!("seed {seed} step {step}: {op} {key}"));
+            }
+        }
     }
 
     #[test]

@@ -23,13 +23,12 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use serde_json::{json, Value};
 
 use mmm_obs::{EventLevel, Observer};
-use mmm_util::{hash::xxhash64, Error, Result, VirtualClock};
+use mmm_util::{hash::xxhash64, Error, Result, Unpoison, VirtualClock};
 
 use crate::fault::{flip_bits, FaultEffect, FaultInjector, OpClass};
 use crate::profile::LatencyProfile;
@@ -395,7 +394,7 @@ impl DocumentStore {
     }
 
     fn with_collection<T>(&self, name: &str, f: impl FnOnce(&mut Collection) -> Result<T>) -> Result<T> {
-        let mut shard = self.shards[shard_of(name)].lock();
+        let mut shard = self.shards[shard_of(name)].lock().unpoison();
         let Shard {
             collections,
             index_defs,
@@ -680,7 +679,7 @@ impl DocumentStore {
             keys_of: Arc::new(keys_of),
             of_field,
         };
-        let mut shard = self.shards[shard_of(collection)].lock();
+        let mut shard = self.shards[shard_of(collection)].lock().unpoison();
         if let Some(coll) = shard.collections.get_mut(collection) {
             coll.build_index(def.clone());
         }
@@ -694,6 +693,7 @@ impl DocumentStore {
     pub fn count(&self, collection: &str) -> usize {
         self.shards[shard_of(collection)]
             .lock()
+            .unpoison()
             .collections
             .get(collection)
             .map(|c| c.docs.len())

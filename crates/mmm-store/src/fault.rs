@@ -17,11 +17,9 @@
 //!   [`mmm_util::SplitMix64`], so a failing run replays bit-for-bit
 //!   from the seed alone.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
-use mmm_util::{Error, Result, Rng, SplitMix64};
+use mmm_util::{Error, Result, Rng, SplitMix64, Unpoison};
 
 /// Store operation classes a fault can target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,7 +189,7 @@ pub struct FaultInjector {
 
 impl std::fmt::Debug for FaultInjector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.inner.lock();
+        let s = self.inner.lock().unpoison();
         f.debug_struct("FaultInjector")
             .field("armed", &s.armed.len())
             .field("ops", &s.ops)
@@ -208,7 +206,7 @@ impl FaultInjector {
     /// Arm a plan. Its operation counter starts at this moment, so
     /// `index` is relative to the work issued *after* arming.
     pub fn arm(&self, plan: FaultPlan) {
-        self.inner.lock().armed.push(Armed {
+        self.inner.lock().unpoison().armed.push(Armed {
             transients_left: match plan.mode {
                 FaultMode::Transient { times } => times,
                 _ => 0,
@@ -221,31 +219,31 @@ impl FaultInjector {
 
     /// Drop all armed plans (operation counters keep running).
     pub fn disarm_all(&self) {
-        self.inner.lock().armed.clear();
+        self.inner.lock().unpoison().armed.clear();
     }
 
     /// Total operations observed over the injector's lifetime.
     pub fn ops_observed(&self) -> u64 {
-        self.inner.lock().ops
+        self.inner.lock().unpoison().ops
     }
 
     /// Mutating operations observed over the injector's lifetime. The
     /// difference across a save is the number of injectable crash
     /// points that save exposes.
     pub fn write_ops_observed(&self) -> u64 {
-        self.inner.lock().write_ops
+        self.inner.lock().unpoison().write_ops
     }
 
     /// Install a [`crate::gate::ServiceGate`]: from now on every
     /// operation is gated (deadline + breaker) before fault evaluation,
     /// and gated-out operations do not count toward plan indices.
     pub fn install_gate(&self, gate: crate::gate::ServiceGate) {
-        self.inner.lock().gate = Some(gate);
+        self.inner.lock().unpoison().gate = Some(gate);
     }
 
     /// The installed service gate, if any.
     pub fn gate(&self) -> Option<crate::gate::ServiceGate> {
-        self.inner.lock().gate.clone()
+        self.inner.lock().unpoison().gate.clone()
     }
 
     /// Register one operation of `class` with payload size `len` and
@@ -259,7 +257,7 @@ impl FaultInjector {
     /// breaker (injected crash/transient faults and torn writes count
     /// as environment failures).
     pub fn on_op(&self, class: OpClass, _len: usize) -> Result<FaultEffect> {
-        let mut state = self.inner.lock();
+        let mut state = self.inner.lock().unpoison();
         // The gate takes its own (leaf) locks; it never calls back into
         // the injector, so holding our lock across it cannot deadlock.
         if let Some(gate) = &state.gate {

@@ -26,13 +26,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
-use mmm_util::{Error, Result, VirtualClock};
+use mmm_util::{Error, Result, Unpoison, VirtualClock};
 
 use crate::fault::OpClass;
 
@@ -157,7 +155,7 @@ impl CircuitBreaker {
     /// with [`Error::Unavailable`] until the cooldown elapses, then
     /// flip to half-open and admit a bounded number of probes.
     pub fn admit(&self) -> Result<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unpoison();
         match inner.state {
             BreakerState::Closed => Ok(()),
             BreakerState::Open => {
@@ -192,7 +190,7 @@ impl CircuitBreaker {
     /// an environment fault (transient, I/O, torn write) — the only
     /// outcomes that count toward tripping.
     pub fn record(&self, ok: bool) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unpoison();
         match inner.state {
             BreakerState::Closed => {
                 if ok {
@@ -225,17 +223,17 @@ impl CircuitBreaker {
 
     /// Current position.
     pub fn state(&self) -> BreakerState {
-        self.inner.lock().state
+        self.inner.lock().unpoison().state
     }
 
     /// Times the breaker has transitioned to open.
     pub fn trips(&self) -> u64 {
-        self.inner.lock().trips
+        self.inner.lock().unpoison().trips
     }
 
     /// Operations rejected while open/half-open.
     pub fn rejections(&self) -> u64 {
-        self.inner.lock().rejections
+        self.inner.lock().unpoison().rejections
     }
 }
 
@@ -311,7 +309,7 @@ impl ServiceGate {
             started_sim: self.inner.clock.thread_simulated(),
             budget,
         };
-        let prev = self.inner.deadlines.lock().insert(tid, entry);
+        let prev = self.inner.deadlines.lock().unpoison().insert(tid, entry);
         if prev.is_none() {
             self.inner.armed.fetch_add(1, Ordering::Relaxed);
         }
@@ -330,7 +328,7 @@ impl ServiceGate {
             return None;
         }
         let tid = std::thread::current().id();
-        let d = *self.inner.deadlines.lock().get(&tid)?;
+        let d = *self.inner.deadlines.lock().unpoison().get(&tid)?;
         Some(d.budget.saturating_sub(self.spent(&d)))
     }
 
@@ -341,7 +339,7 @@ impl ServiceGate {
             return Ok(());
         }
         let tid = std::thread::current().id();
-        let d = match self.inner.deadlines.lock().get(&tid) {
+        let d = match self.inner.deadlines.lock().unpoison().get(&tid) {
             Some(d) => *d,
             None => return Ok(()),
         };
@@ -393,7 +391,7 @@ impl DeadlineGuard {
             return;
         }
         self.disarmed = true;
-        let mut map = self.gate.inner.deadlines.lock();
+        let mut map = self.gate.inner.deadlines.lock().unpoison();
         match self.prev.take() {
             Some(prev) => {
                 map.insert(self.tid, prev);

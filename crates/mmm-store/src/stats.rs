@@ -14,10 +14,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
-use parking_lot::Mutex;
+use mmm_util::Unpoison;
 
 /// Maximum number of finished-lane snapshots kept in the history log.
 const LANE_LOG_CAPACITY: usize = 4096;
@@ -152,7 +152,7 @@ impl StoreStats {
     fn record(&self, f: impl Fn(&Counters)) {
         f(&self.inner);
         if self.lane_count.load(Ordering::Relaxed) != 0 {
-            if let Some(lane) = self.lanes.lock().get(&std::thread::current().id()) {
+            if let Some(lane) = self.lanes.lock().unpoison().get(&std::thread::current().id()) {
                 f(lane);
             }
         }
@@ -215,7 +215,7 @@ impl StoreStats {
         // Nesting-tolerant: an inner lane shadows the outer one and the
         // guard restores it on drop, so composed instrumentation (a
         // frontend lane around a worker lane) never panics.
-        let prev = self.lanes.lock().insert(tid, counters.clone());
+        let prev = self.lanes.lock().unpoison().insert(tid, counters.clone());
         if prev.is_none() {
             self.lane_count.fetch_add(1, Ordering::Relaxed);
         }
@@ -231,12 +231,12 @@ impl StoreStats {
     /// first. Bounded: only the most recent `LANE_LOG_CAPACITY` (4096)
     /// lanes are retained.
     pub fn lane_history(&self) -> Vec<StatsSnapshot> {
-        self.lane_log.lock().clone()
+        self.lane_log.lock().unpoison().clone()
     }
 
     /// Clear the finished-lane history (e.g. between benchmark phases).
     pub fn clear_lane_history(&self) {
-        self.lane_log.lock().clear();
+        self.lane_log.lock().unpoison().clear();
     }
 }
 
@@ -268,15 +268,15 @@ impl Drop for StatsLaneGuard {
     fn drop(&mut self) {
         match self.prev.take() {
             Some(outer) => {
-                self.stats.lanes.lock().insert(self.tid, outer);
+                self.stats.lanes.lock().unpoison().insert(self.tid, outer);
             }
             None => {
-                self.stats.lanes.lock().remove(&self.tid);
+                self.stats.lanes.lock().unpoison().remove(&self.tid);
                 self.stats.lane_count.fetch_sub(1, Ordering::Relaxed);
             }
         }
         let snap = self.counters.snapshot();
-        let mut log = self.stats.lane_log.lock();
+        let mut log = self.stats.lane_log.lock().unpoison();
         if log.len() == LANE_LOG_CAPACITY {
             log.remove(0);
         }

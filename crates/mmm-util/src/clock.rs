@@ -16,6 +16,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
+use crate::Unpoison;
+
 /// Per-operation latency model for a (document or file) store connection.
 ///
 /// `fixed` is the round-trip cost of one operation; `per_byte` models
@@ -92,7 +94,7 @@ impl VirtualClock {
     /// `Arc<AtomicU64>` accumulators, so a panic while holding the lock
     /// cannot leave it in an inconsistent state worth propagating.
     fn lanes(&self) -> MutexGuard<'_, HashMap<ThreadId, Arc<AtomicU64>>> {
-        self.lanes.lock().unwrap_or_else(|e| e.into_inner())
+        self.lanes.lock().unpoison()
     }
 
     /// Charge simulated latency to the clock (e.g. one store round-trip).

@@ -39,3 +39,18 @@ pub use error::{Error, Result};
 pub use hash::{xxhash64, Hasher64};
 pub use rng::{Rng, SplitMix64, Xoshiro256pp};
 pub use tempdir::TempDir;
+
+/// Take a lock's guard whether or not a panicking holder poisoned it:
+/// the workspace's locks guard data a panicking holder leaves usable
+/// (queues, counters, caches, indexes an audit resyncs), so poison
+/// carries nothing worth an error path.
+pub trait Unpoison<G> {
+    /// The guard, poisoned or not.
+    fn unpoison(self) -> G;
+}
+
+impl<G> Unpoison<G> for std::sync::LockResult<G> {
+    fn unpoison(self) -> G {
+        self.unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}

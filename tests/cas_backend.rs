@@ -7,7 +7,7 @@
 use mmm::core::approach::{ApproachKind, ApproachSpec};
 use mmm::core::env::ManagementEnv;
 use mmm::core::model_set::{ModelSet, ModelSetId};
-use mmm::core::{catalog, fsck, gc, lineage};
+use mmm::core::{branch, catalog, fsck, gc, lineage, query, tags};
 use mmm::dnn::Architectures;
 use mmm::store::{FaultInjector, FaultPlan, FaultTarget, LatencyProfile, StorageBackend};
 use mmm::util::TempDir;
@@ -350,6 +350,36 @@ fn fsck_flags_and_gc_reclaims_orphan_chunks() {
     assert_eq!((n, bytes), (1, 16));
     assert!(fsck::fsck(&env).unwrap().is_clean());
     assert_eq!(gc::reclaim_orphan_chunks(&env).unwrap(), (0, 0), "idempotent when clean");
+}
+
+/// A query's rows are the same on both backends, `bytes_stored`
+/// included, for a full scan and for a tag probe: on CAS they come from
+/// the store's key index, both as kept by the saves and as rebuilt by a
+/// reopen.
+#[test]
+fn cas_catalogue_rows_equal_plain_before_and_after_reopen() {
+    let lake = |backend| {
+        let dir = TempDir::new("it-cas-catalogue").unwrap();
+        let env = open(dir.path(), backend, 1);
+        for kind in ApproachKind::ALL {
+            let (ids, _) = run_history(&env, kind.name());
+            tags::tag_set(&env, &ids[1], "golden").unwrap();
+            if kind == ApproachKind::Update {
+                branch::fork(&env, &ids[CYCLES], 1, "exp").unwrap();
+            }
+        }
+        (dir, env)
+    };
+    let rows = |env: &ManagementEnv| ["true", "tag:golden"].map(|q| query::run(env, q).unwrap());
+    let (_plain_dir, plain) = lake(StorageBackend::Plain);
+    let (cas_dir, cas) = lake(StorageBackend::Cas);
+    let expected = rows(&plain);
+    assert_eq!(expected[1].records.len(), ApproachKind::ALL.len());
+    assert!(expected[0].records.iter().all(|r| r.bytes_stored.total > 0));
+    assert_eq!(rows(&cas), expected, "cas, index kept by the saves");
+    drop(cas);
+    let reopened = open(cas_dir.path(), StorageBackend::Cas, 1);
+    assert_eq!(rows(&reopened), expected, "cas, index rebuilt by a reopen");
 }
 
 #[test]
