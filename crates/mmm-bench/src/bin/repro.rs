@@ -13,7 +13,7 @@
 //!   cifar      CIFAR CNN variation                     (§4.2 in-text)
 //!   provttr    provenance TTR staircase + full-training
 //!              extrapolation                           (§4.4 in-text)
-//!   compress   delta-encoding ablation                 (§4.5 discussion)
+//!   compress   lossless bound on changed-layer bytes   (§4.5 discussion)
 //!   snapshots  intermediate-full-snapshot ablation     (§2.2 remark)
 //!   scaling    storage/TTS vs fleet size               (extension)
 //!   selective  recover k of n models (§1's accident    (extension)
@@ -50,7 +50,6 @@ use std::time::Instant;
 
 use mmm_bench::experiment::{run_scenario, run_scenario_in_env, ExperimentConfig, ScenarioResult};
 use mmm_bench::report;
-use mmm_core::delta::DeltaStats;
 use mmm_core::env::ManagementEnv;
 use mmm_dnn::Architectures;
 use mmm_obs::{EventLevel, Observer};
@@ -388,7 +387,7 @@ fn provttr(args: &Args) {
 }
 
 fn compress(args: &Args) {
-    println!("=== 4.5 discussion: delta-encoding ablation on Update ===");
+    println!("=== 4.5 discussion: how far lossless coding of changed layers can go ===");
     println!("paper (future work): related work shows delta encoding reduces storage further\n");
     let mut cfg = base_config(args, LatencyProfile::zero());
     cfg.n_models = args.models.unwrap_or(500);
@@ -409,48 +408,48 @@ fn compress(args: &Args) {
     let record = fleet.run_update_cycle(&registry, &policy).expect("update cycle");
     let after = fleet.to_model_set();
 
-    let mut raw = 0usize;
-    let mut encoded = 0usize;
-    let mut layers = 0usize;
+    // Byte-plane histograms of the XOR words `base ^ new` of every
+    // changed layer; plane 0 is the least significant byte.
+    let mut hist = [[0u64; 256]; 4];
+    let (mut words, mut layers) = (0u64, 0usize);
     for u in &record.updates {
         let (b, a) = (&before.models[u.model_idx], &after.models[u.model_idx]);
-        for (lb, la) in b.layers.iter().zip(&a.layers) {
-            if lb.data != la.data {
-                let stats = DeltaStats::measure(&lb.data, &la.data);
-                raw += stats.raw_bytes;
-                encoded += stats.encoded_bytes;
-                layers += 1;
+        for (lb, la) in b
+            .layers
+            .iter()
+            .zip(&a.layers)
+            .filter(|(lb, la)| lb.data != la.data)
+        {
+            layers += 1;
+            words += lb.data.len() as u64;
+            for (x, y) in lb.data.iter().zip(&la.data) {
+                let xor = (x.to_bits() ^ y.to_bits()).to_le_bytes();
+                for (plane, byte) in xor.into_iter().enumerate() {
+                    hist[plane][byte as usize] += 1;
+                }
             }
         }
     }
-    println!("{layers} changed layers across {} updated models", record.updates.len());
-    println!("raw diff payload:     {raw:>12} bytes");
-    println!("delta-encoded:        {encoded:>12} bytes");
-    println!("compression ratio:    {:>12.3}", encoded as f64 / raw.max(1) as f64);
-
-    // End-to-end: the integrated saver with and without compression.
-    use mmm_core::approach::ApproachSpec;
-    use mmm_core::env::ManagementEnv;
-    for (label, spec) in [
-        ("update (plain)", "update"),
-        ("update:delta", "update:delta"),
-    ] {
-        let mut saver = ApproachSpec::parse(spec).expect("approach spec").build();
-        let d = TempDir::new("mmm-compress-env").expect("temp dir");
-        let env = ManagementEnv::open(d.path(), mmm_store::LatencyProfile::zero()).expect("env");
-        let id0 = saver.save_initial(&env, &before).expect("save U1");
-        let deriv = record.derivation(id0);
-        let (id1, m) = env.measure(|| saver.save_set(&env, &after, Some(&deriv)).expect("save U3"));
-        let recovered = saver.recover_set(&env, &id1).expect("recover");
-        assert_eq!(recovered, after, "compressed roundtrip must be bit-exact");
-        println!(
-            "{label}: derived save = {:.3} MB in {:.3}s (bit-exact recovery: true)",
-            m.bytes_written() as f64 / 1e6,
-            m.duration.as_secs_f64()
-        );
+    let n = words.max(1) as f64;
+    println!(
+        "{layers} changed layers across {} updated models, {words} XOR words",
+        record.updates.len()
+    );
+    println!("byte plane  zero bytes  order-0 entropy");
+    let mut bits = 0.0;
+    for (plane, counts) in hist.iter().enumerate() {
+        let p = counts.iter().filter(|&&c| c > 0).map(|&c| c as f64 / n);
+        let entropy: f64 = p.map(|p| -p * p.log2()).sum();
+        bits += entropy;
+        let zeros = 100.0 * counts[0] as f64 / n;
+        println!("{plane:>10}  {zeros:>9.1}%  {entropy:>10.2} bits");
     }
-    println!("\n(XOR deltas of retrained layers are near-random, so the win is small for");
-    println!("fully retrained layers -- consistent with the paper treating this as future work.)");
+    println!(
+        "lossless bound (order-0, per byte plane): {:.3} of the raw diff payload",
+        bits / 32.0
+    );
+    println!("\n(the low planes of a retrained layer's XOR words are near-random, so no");
+    println!("lossless code of them gets far below this bound; the rest is lossy coding.)");
 }
 
 fn snapshots(args: &Args) {

@@ -64,7 +64,7 @@ impl ModelSetSaver for MmlibBaseSaver {
             })
         };
         let put_blobs = |doc_id: u64, params: &[u8]| -> Result<()> {
-            let keys = layout::node_blob_keys(self.name(), "", doc_id);
+            let keys = layout::mmlib_row_keys(doc_id);
             let payloads = [params, code.as_bytes(), env_info.as_bytes()];
             for (key, bytes) in keys.iter().zip(payloads) {
                 env.with_retry(|| env.blobs().put(key, bytes))?;

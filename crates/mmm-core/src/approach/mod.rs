@@ -104,21 +104,12 @@ pub struct ApproachOptions {
     /// Bound diff-chain length by saving a full snapshot every `k`
     /// derived saves ([`UpdateSaver::with_full_snapshot_every`]).
     pub snapshot_every: Option<usize>,
-    /// Store changed layers as XOR deltas against the base
-    /// ([`UpdateSaver::with_delta_compression`]).
-    pub delta: bool,
-}
-
-impl ApproachOptions {
-    fn is_default(&self) -> bool {
-        *self == ApproachOptions::default()
-    }
 }
 
 /// A fully-specified approach configuration, parseable from one string
 /// form shared by the CLI, benches, and tests:
-/// `kind[:option[,option]...]` — e.g. `baseline`, `update:delta`, or
-/// `update:snapshot-every=4,delta`.
+/// `kind[:option[,option]...]` — e.g. `baseline`, `update`, or
+/// `update:snapshot-every=4`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApproachSpec {
     /// Which approach to build.
@@ -159,7 +150,6 @@ impl ApproachSpec {
                 )));
             }
             match opt.split_once('=') {
-                None if opt == "delta" => options.delta = true,
                 Some(("snapshot-every", v)) => {
                     let k: usize = v.trim().parse().map_err(|_| {
                         Error::invalid(format!("snapshot-every expects a positive integer, got {v:?}"))
@@ -171,7 +161,7 @@ impl ApproachSpec {
                 }
                 _ => {
                     return Err(Error::invalid(format!(
-                        "unknown approach option {opt:?} (expected 'delta' or 'snapshot-every=K')"
+                        "unknown approach option {opt:?} (expected 'snapshot-every=K')"
                     )));
                 }
             }
@@ -185,16 +175,10 @@ impl ApproachSpec {
             ApproachKind::MmlibBase => Box::new(MmlibBaseSaver::new()),
             ApproachKind::Baseline => Box::new(BaselineSaver::new()),
             ApproachKind::Provenance => Box::new(ProvenanceSaver::new()),
-            ApproachKind::Update => {
-                let mut saver = match self.options.snapshot_every {
-                    Some(k) => UpdateSaver::with_full_snapshot_every(k),
-                    None => UpdateSaver::new(),
-                };
-                if self.options.delta {
-                    saver = saver.with_delta_compression();
-                }
-                Box::new(saver)
-            }
+            ApproachKind::Update => Box::new(match self.options.snapshot_every {
+                Some(k) => UpdateSaver::with_full_snapshot_every(k),
+                None => UpdateSaver::new(),
+            }),
         }
     }
 }
@@ -209,16 +193,8 @@ impl std::str::FromStr for ApproachSpec {
 impl std::fmt::Display for ApproachSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.kind.name())?;
-        if self.options.is_default() {
-            return Ok(());
-        }
-        let mut sep = ':';
         if let Some(k) = self.options.snapshot_every {
-            write!(f, "{sep}snapshot-every={k}")?;
-            sep = ',';
-        }
-        if self.options.delta {
-            write!(f, "{sep}delta")?;
+            write!(f, ":snapshot-every={k}")?;
         }
         Ok(())
     }

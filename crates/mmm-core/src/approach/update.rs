@@ -21,13 +21,12 @@ use std::ops::Range;
 use crate::approach::common::{self, FullSnapshot, Slots};
 use crate::approach::ModelSetSaver;
 use crate::commit;
-use crate::delta::{compress_delta, decompress_delta};
 use crate::env::ManagementEnv;
 use crate::layout;
 use crate::model_set::{Derivation, ModelSet, ModelSetId};
 use crate::param_codec::{
-    decode_hashes, diff_directory_len, encode_diff, encode_diff_compressed, encode_hashes,
-    parse_diff_directory, CompressedDiffEntry, DiffEntry, DiffSlot,
+    decode_hashes, diff_directory_len, encode_diff, encode_hashes, parse_diff_directory, DiffEntry,
+    DiffSlot,
 };
 use mmm_dnn::ParamDict;
 use mmm_store::BlobBytes;
@@ -40,15 +39,14 @@ pub struct UpdateSaver {
     /// If `Some(k)`, every k-th derived save is stored as a full snapshot
     /// (bounding the recovery recursion depth at `k`).
     full_snapshot_every: Option<usize>,
-    /// Store changed layers as XOR deltas against the base set (paper
-    /// §4.5 extension). Costs a base-set recovery at save time.
-    delta_compress: bool,
 }
 
 impl UpdateSaver {
     /// Plain Update approach: only the initial set is a full snapshot.
     pub fn new() -> Self {
-        UpdateSaver { full_snapshot_every: None, delta_compress: false }
+        UpdateSaver {
+            full_snapshot_every: None,
+        }
     }
 
     /// Update approach with intermediate full snapshots every `k` saves.
@@ -57,17 +55,9 @@ impl UpdateSaver {
     /// Panics if `k == 0`.
     pub fn with_full_snapshot_every(k: usize) -> Self {
         assert!(k > 0, "snapshot interval must be positive");
-        UpdateSaver { full_snapshot_every: Some(k), delta_compress: false }
-    }
-
-    /// Enable the §4.5 delta-compression extension: changed layers are
-    /// stored as XOR deltas against the base set's values (run-length
-    /// encoded zeros). Trades a base-set recovery at save time — and
-    /// therefore a longer TTS — for smaller derived saves whenever
-    /// retraining leaves some parameters untouched.
-    pub fn with_delta_compression(mut self) -> Self {
-        self.delta_compress = true;
-        self
+        UpdateSaver {
+            full_snapshot_every: Some(k),
+        }
     }
 
     /// Put a set's hash table, cutting one chunk after the 16-byte
@@ -225,49 +215,25 @@ impl ModelSetSaver for UpdateSaver {
         };
 
         // (4) Persist: one metadata doc + the diff blob + the hash blob.
-        let (kind, diff_blob) = {
+        let diff_blob = {
             let _span = env.obs().span("encode_diff");
-            if self.delta_compress {
-                // §4.5 extension: XOR-delta each changed layer against the
-                // base set's values (requires materializing the base).
-                let base_set = self.recover_set(env, &deriv.base)?;
-                // Each changed layer's XOR delta is independent — compress
-                // them across the thread budget (pure compute; entry order
-                // follows `changed`, so the blob is thread-count invariant).
-                let entries: Vec<CompressedDiffEntry> =
-                    parallel::map(env.threads(), changed.len(), |c| {
-                        let (mi, li) = changed[c];
-                        CompressedDiffEntry {
-                            model_idx: mi as u32,
-                            layer_idx: li as u32,
-                            blob: compress_delta(
-                                &base_set.models()[mi].layers[li].data,
-                                &set.models()[mi].layers[li].data,
-                            ),
-                        }
-                    });
-                for e in &entries {
-                    env.obs().observe("mmm_update_changed_layer_bytes", e.blob.len() as u64);
+            let entries: Vec<DiffEntry> = parallel::map(env.threads(), changed.len(), |c| {
+                let (mi, li) = changed[c];
+                DiffEntry {
+                    model_idx: mi as u32,
+                    layer_idx: li as u32,
+                    data: set.models()[mi].layers[li].data.clone(),
                 }
-                ("diffz", encode_diff_compressed(&entries)?)
-            } else {
-                let entries: Vec<DiffEntry> = parallel::map(env.threads(), changed.len(), |c| {
-                    let (mi, li) = changed[c];
-                    DiffEntry {
-                        model_idx: mi as u32,
-                        layer_idx: li as u32,
-                        data: set.models()[mi].layers[li].data.clone(),
-                    }
-                });
-                for e in &entries {
-                    env.obs().observe("mmm_update_changed_layer_bytes", 4 * e.data.len() as u64);
-                }
-                ("diff", encode_diff(&entries)?)
+            });
+            for e in &entries {
+                env.obs()
+                    .observe("mmm_update_changed_layer_bytes", 4 * e.data.len() as u64);
             }
+            encode_diff(&entries)?
         };
         let doc = json!({
             "approach": self.name(),
-            "kind": kind,
+            "kind": "diff",
             "base": deriv.base.key,
             "n_models": set.len(),
             "n_changed_layers": changed.len(),
@@ -334,20 +300,17 @@ impl UpdateSaver {
     }
 }
 
-/// Parse one derived level's set document: is its diff blob
-/// compressed, and how many entries does its directory list?
-fn parse_diff_level(doc: &Value) -> Result<(bool, usize)> {
-    let compressed = match doc.get("kind").and_then(Value::as_str) {
-        Some("diff") => false,
-        Some("diffz") => true,
-        other => return Err(Error::corrupt(format!("unknown set kind {other:?}"))),
-    };
-    let n_entries = doc
-        .get("n_changed_layers")
+/// Parse one derived level's set document: how many entries does its
+/// diff directory list?
+fn parse_diff_level(doc: &Value) -> Result<usize> {
+    let kind = doc.get("kind").and_then(Value::as_str).unwrap_or("?");
+    if kind != "diff" {
+        return Err(layout::unknown_kind("update", kind));
+    }
+    doc.get("n_changed_layers")
         .and_then(Value::as_u64)
         .and_then(|n| usize::try_from(n).ok())
-        .ok_or_else(|| Error::corrupt("diff set document without n_changed_layers"))?;
-    Ok((compressed, n_entries))
+        .ok_or_else(|| Error::corrupt("diff set document without n_changed_layers"))
 }
 
 /// Apply one chain level's diff blob, in place, to the models `slots`
@@ -355,14 +318,13 @@ fn parse_diff_level(doc: &Value) -> Result<(bool, usize)> {
 /// whole-set replay maps the blob once and reads every entry straight
 /// from the map. A selection reads the directory with one ranged get,
 /// then each run of adjacent selected entries with one more, so entries
-/// of unselected models are never fetched. `models` holds exactly the
-/// level the deltas were computed against.
+/// of unselected models are never fetched.
 fn apply_diff_level(
     env: &ManagementEnv,
     models: &mut [ParamDict],
     slots: &Slots,
     doc_id: u64,
-    (compressed, n_entries): (bool, usize),
+    n_entries: usize,
 ) -> Result<()> {
     let _span = env.obs().span("diff_apply");
     let key = layout::diff_key(doc_id);
@@ -370,7 +332,7 @@ fn apply_diff_level(
     let (picked, pieces) = match slots {
         Slots::All(_) => {
             let blob = env.blobs().get_mapped(&key)?;
-            let dir = parse_diff_directory(&blob, compressed, blob.len() as u64)?;
+            let dir = parse_diff_directory(&blob, blob.len() as u64)?;
             (pick(slots, n_entries, dir)?, vec![(0, blob)])
         }
         Slots::Picked(_) => {
@@ -379,7 +341,7 @@ fn apply_diff_level(
             let size = env.blobs().size(&key)?;
             let head_len = (diff_directory_len(n_entries)? as u64).min(size) as usize;
             let head = env.blobs().get_range(&key, 0, head_len)?;
-            let dir = parse_diff_directory(&head, compressed, size)?;
+            let dir = parse_diff_directory(&head, size)?;
             let picked = pick(slots, n_entries, dir)?;
             let runs = runs(&picked);
             let pieces = env.run_parallel(runs.len(), |r| {
@@ -399,35 +361,12 @@ fn apply_diff_level(
             .and_then(|(start, bytes)| bytes.get(e.range.start - start..e.range.end - start))
             .ok_or_else(|| Error::corrupt("diff entry past the bytes read"))
     };
-    // XOR-decompress the picked entries against the (read-only) base
-    // level across the thread budget. The writes below are sequential
-    // and follow the blob, so results are identical for every thread
-    // count; a plain entry is copied straight into the layer it
-    // overwrites.
-    let mut decompressed = if compressed {
-        let base: &[ParamDict] = models;
-        parallel::try_map(env.threads(), picked.len(), |i| {
-            let (slot, e) = &picked[i];
-            let layer = base[*slot]
-                .layers
-                .get(e.layer_idx as usize)
-                .ok_or_else(|| layer_out_of_range(e.model_idx, e.layer_idx))?;
-            decompress_delta(&layer.data, payload(e)?)
-        })?
-    } else {
-        Vec::new()
-    }
-    .into_iter();
+    // Each picked entry is copied straight into the layer it overwrites.
     for (slot, e) in &picked {
         let layer = models[*slot]
             .layers
             .get_mut(e.layer_idx as usize)
             .ok_or_else(|| layer_out_of_range(e.model_idx, e.layer_idx))?;
-        if let Some(data) = decompressed.next() {
-            // `decompress_delta` sized it from this very layer.
-            layer.data = data;
-            continue;
-        }
         let bytes = payload(e)?;
         codec::f32s_into(&mut layer.data, bytes).map_err(|_| {
             Error::corrupt(format!(
@@ -651,21 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn recover_many_handles_compressed_chains() {
-        let (_d, env) = env();
-        let mut saver = UpdateSaver::new().with_delta_compression();
-        let mut s = set(6, 21);
-        let mut ids = vec![saver.save_initial(&env, &s).unwrap()];
-        for i in 0..3 {
-            s = mutate_sparse(&s, i % 6, 5);
-            let d = deriv(ids.last().unwrap());
-            ids.push(saver.save_set(&env, &s, Some(&d)).unwrap());
-        }
-        let batched = saver.recover_many(&env, &ids).unwrap();
-        assert_eq!(batched.last().unwrap(), &s);
-    }
-
-    #[test]
     fn full_snapshot_every_bounds_recursion() {
         let (_d, env) = env();
         let mut saver = UpdateSaver::with_full_snapshot_every(2);
@@ -686,8 +610,8 @@ mod tests {
         assert!(m.stats.doc_queries <= 3, "snapshotting must cap the chain, got {:?}", m.stats);
     }
 
-    /// Mutate a *sparse subset* of one layer's parameters so the delta
-    /// encoding has zero-runs to exploit.
+    /// Mutate a *sparse subset* of one layer's parameters: one changed
+    /// layer of one model.
     fn mutate_sparse(set: &ModelSet, model: usize, every: usize) -> ModelSet {
         let mut s = set.clone();
         for (i, v) in s.models[model].layers[1].data.iter_mut().enumerate() {
@@ -696,60 +620,6 @@ mod tests {
             }
         }
         s
-    }
-
-    #[test]
-    fn delta_compressed_chain_roundtrips() {
-        let (_d, env) = env();
-        let mut saver = UpdateSaver::new().with_delta_compression();
-        let s0 = set(8, 10);
-        let id0 = saver.save_initial(&env, &s0).unwrap();
-        let s1 = mutate_sparse(&s0, 2, 10);
-        let id1 = saver.save_set(&env, &s1, Some(&deriv(&id0))).unwrap();
-        let s2 = mutate_sparse(&s1, 5, 7);
-        let id2 = saver.save_set(&env, &s2, Some(&deriv(&id1))).unwrap();
-        assert_eq!(saver.recover_set(&env, &id0).unwrap(), s0);
-        assert_eq!(saver.recover_set(&env, &id1).unwrap(), s1);
-        assert_eq!(saver.recover_set(&env, &id2).unwrap(), s2);
-    }
-
-    #[test]
-    fn delta_compression_shrinks_sparse_diffs() {
-        let (_d, env) = env();
-        let s0 = set(10, 11);
-        let s1 = mutate_sparse(&s0, 0, 20); // 5% of one layer changed
-
-        let mut plain = UpdateSaver::new();
-        let id_p = plain.save_initial(&env, &s0).unwrap();
-        let (_, mp) = env.measure(|| plain.save_set(&env, &s1, Some(&deriv(&id_p))).unwrap());
-
-        let mut compressed = UpdateSaver::new().with_delta_compression();
-        let id_c = compressed.save_initial(&env, &s0).unwrap();
-        let (_, mc) =
-            env.measure(|| compressed.save_set(&env, &s1, Some(&deriv(&id_c))).unwrap());
-
-        assert!(
-            mc.bytes_written() < mp.bytes_written(),
-            "compressed {} vs plain {}",
-            mc.bytes_written(),
-            mp.bytes_written()
-        );
-        // The tradeoff: compression pays a base recovery (extra reads).
-        assert!(mc.stats.blob_gets > mp.stats.blob_gets);
-    }
-
-    #[test]
-    fn plain_saver_recovers_compressed_chains() {
-        // The compression flag affects saving only; any UpdateSaver can
-        // recover either kind (the format is tagged in the document).
-        let (_d, env) = env();
-        let mut compressed = UpdateSaver::new().with_delta_compression();
-        let s0 = set(6, 12);
-        let id0 = compressed.save_initial(&env, &s0).unwrap();
-        let s1 = mutate_sparse(&s0, 1, 3);
-        let id1 = compressed.save_set(&env, &s1, Some(&deriv(&id0))).unwrap();
-        let plain = UpdateSaver::new();
-        assert_eq!(plain.recover_set(&env, &id1).unwrap(), s1);
     }
 
     #[test]
@@ -791,46 +661,34 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_diffz_blob_is_an_error_in_selective_recovery() {
-        // Regression: the diffz branch of recover_models used an
-        // unchecked double index and skipped size validation. A diff
-        // blob whose delta stream disagrees with the layer shape must
+    fn corrupt_diff_entries_are_errors_in_selective_recovery() {
+        // A diff entry that disagrees with the layer it overwrites must
         // come back as Error::Corrupt, never a panic or silent truncation.
         let (_d, env) = env();
-        let mut saver = UpdateSaver::new().with_delta_compression();
+        let mut saver = UpdateSaver::new();
         let s0 = set(6, 31);
         let id0 = saver.save_initial(&env, &s0).unwrap();
         let s1 = mutate_sparse(&s0, 0, 4);
         let id1 = saver.save_set(&env, &s1, Some(&deriv(&id0))).unwrap();
-        let doc_id = common::doc_id_of(&id1).unwrap();
-
-        // (a) Delta stream sized for the wrong layer length.
-        let wrong = CompressedDiffEntry {
-            model_idx: 0,
-            layer_idx: 1,
-            blob: compress_delta(&[1.0, 2.0, 3.0], &[1.5, 2.0, 3.0]),
+        let key = layout::diff_key(common::doc_id_of(&id1).unwrap());
+        let put_entry = |model_idx, layer_idx, data| {
+            let entry = DiffEntry {
+                model_idx,
+                layer_idx,
+                data,
+            };
+            env.blobs()
+                .put(&key, &encode_diff(&[entry]).unwrap())
+                .unwrap();
         };
-        env.blobs()
-            .put(
-                &layout::diff_key(doc_id),
-                &encode_diff_compressed(&[wrong]).unwrap(),
-            )
-            .unwrap();
+
+        // (a) Payload sized for the wrong layer length.
+        put_entry(0, 1, vec![1.5, 2.0, 3.0]);
         let err = saver.recover_models(&env, &id1, &[0]).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "got: {err}");
 
         // (b) Layer index out of range must hit the checked access.
-        let oob = CompressedDiffEntry {
-            model_idx: 0,
-            layer_idx: 99,
-            blob: compress_delta(&[1.0], &[2.0]),
-        };
-        env.blobs()
-            .put(
-                &layout::diff_key(doc_id),
-                &encode_diff_compressed(&[oob]).unwrap(),
-            )
-            .unwrap();
+        put_entry(0, 99, vec![2.0]);
         let err = saver.recover_models(&env, &id1, &[0]).unwrap_err();
         assert!(
             err.to_string().contains("layer index"),
@@ -838,17 +696,7 @@ mod tests {
         );
 
         // (c) Models outside the selection still skip foreign entries.
-        let foreign = CompressedDiffEntry {
-            model_idx: 5,
-            layer_idx: 99,
-            blob: vec![0xFF],
-        };
-        env.blobs()
-            .put(
-                &layout::diff_key(doc_id),
-                &encode_diff_compressed(&[foreign]).unwrap(),
-            )
-            .unwrap();
+        put_entry(5, 99, vec![]);
         assert!(saver.recover_models(&env, &id1, &[0]).is_ok());
     }
 
@@ -863,66 +711,61 @@ mod tests {
     #[test]
     fn damaged_diff_reads_are_corrupt_never_a_panic() {
         use mmm_store::{FaultMode, FaultPlan, FaultTarget, OpClass};
-        for compressed in [false, true] {
-            let (_d, env) = env();
-            let mut saver = UpdateSaver::new();
-            if compressed {
-                saver = saver.with_delta_compression();
-            }
-            let s0 = set(8, 40);
-            let id0 = saver.save_initial(&env, &s0).unwrap();
-            let s1 = mutate_sparse(&mutate(&s0, &[2], &[6]), 5, 3);
-            let id1 = saver.save_set(&env, &s1, Some(&deriv(&id0))).unwrap();
-            let pick = [5, 0, 2];
-            let whole = || saver.recover_set(&env, &id1).map(|s| s.models);
-            let selective = || saver.recover_models(&env, &id1, &pick);
-            let picked: Vec<ParamDict> = pick.iter().map(|&i| s1.models[i].clone()).collect();
-            assert_eq!(whole().unwrap(), s1.models);
-            assert_eq!(selective().unwrap(), picked);
+        let (_d, env) = env();
+        let mut saver = UpdateSaver::new();
+        let s0 = set(8, 40);
+        let id0 = saver.save_initial(&env, &s0).unwrap();
+        let s1 = mutate_sparse(&mutate(&s0, &[2], &[6]), 5, 3);
+        let id1 = saver.save_set(&env, &s1, Some(&deriv(&id0))).unwrap();
+        let pick = [5, 0, 2];
+        let whole = || saver.recover_set(&env, &id1).map(|s| s.models);
+        let selective = || saver.recover_models(&env, &id1, &pick);
+        let picked: Vec<ParamDict> = pick.iter().map(|&i| s1.models[i].clone()).collect();
+        assert_eq!(whole().unwrap(), s1.models);
+        assert_eq!(selective().unwrap(), picked);
 
-            let recoveries: [&dyn Fn() -> Result<Vec<ParamDict>>; 2] = [&whole, &selective];
-            for recover in recoveries {
-                let (_, m) = env.measure(recover);
-                for k in 0..m.stats.blob_gets {
-                    let get = FaultTarget::Class(OpClass::BlobGet);
-                    for plan in [
-                        FaultPlan::torn_write_at(get, k, 3),
-                        FaultPlan::bit_flip_at(get, k, 1, k),
-                    ] {
-                        env.faults().arm(plan);
-                        let got = recover();
-                        env.faults().disarm_all();
-                        match (got, plan.mode) {
-                            (Ok(_) | Err(Error::Corrupt(_)), FaultMode::BitFlip { .. }) => {}
-                            (Err(Error::Io(_)), FaultMode::TornWrite { .. }) => {}
-                            (got, mode) => panic!("{mode:?} at get {k}: {got:?}"),
-                        }
+        let recoveries: [&dyn Fn() -> Result<Vec<ParamDict>>; 2] = [&whole, &selective];
+        for recover in recoveries {
+            let (_, m) = env.measure(recover);
+            for k in 0..m.stats.blob_gets {
+                let get = FaultTarget::Class(OpClass::BlobGet);
+                for plan in [
+                    FaultPlan::torn_write_at(get, k, 3),
+                    FaultPlan::bit_flip_at(get, k, 1, k),
+                ] {
+                    env.faults().arm(plan);
+                    let got = recover();
+                    env.faults().disarm_all();
+                    match (got, plan.mode) {
+                        (Ok(_) | Err(Error::Corrupt(_)), FaultMode::BitFlip { .. }) => {}
+                        (Err(Error::Io(_)), FaultMode::TornWrite { .. }) => {}
+                        (got, mode) => panic!("{mode:?} at get {k}: {got:?}"),
                     }
                 }
             }
+        }
 
-            let key = layout::diff_key(common::doc_id_of(&id1).unwrap());
-            let blob = env.blobs().get(&key).unwrap();
-            let dir = parse_diff_directory(&blob, compressed, blob.len() as u64).unwrap();
-            let n = dir.len();
-            // A well-formed directory one entry short of the document's count.
-            let mut short = blob[..4].to_vec();
-            short.extend_from_slice(&(n as u32 - 1).to_le_bytes());
-            short.extend_from_slice(&blob[8..8 + 12 * (n - 1)]);
-            short.extend_from_slice(&blob[8 + 12 * n..dir[n - 1].range.start]);
-            // The last entry claims one more element than the blob holds.
-            let mut past_end = blob.clone();
-            let count = 8 + 12 * (n - 1) + 8;
-            let claimed = u32::from_le_bytes(blob[count..count + 4].try_into().unwrap()) + 1;
-            past_end[count..count + 4].copy_from_slice(&claimed.to_le_bytes());
-            let truncated = blob[..blob.len() - 1].to_vec();
-            let trailing = [&blob[..], &[0]].concat();
-            for bad in [short, past_end, truncated, trailing] {
-                env.blobs().put(&key, &bad).unwrap();
-                for recover in recoveries {
-                    let got = recover();
-                    assert!(matches!(got, Err(Error::Corrupt(_))), "got {got:?}");
-                }
+        let key = layout::diff_key(common::doc_id_of(&id1).unwrap());
+        let blob = env.blobs().get(&key).unwrap();
+        let dir = parse_diff_directory(&blob, blob.len() as u64).unwrap();
+        let n = dir.len();
+        // A well-formed directory one entry short of the document's count.
+        let mut short = blob[..4].to_vec();
+        short.extend_from_slice(&(n as u32 - 1).to_le_bytes());
+        short.extend_from_slice(&blob[8..8 + 12 * (n - 1)]);
+        short.extend_from_slice(&blob[8 + 12 * n..dir[n - 1].range.start]);
+        // The last entry claims one more element than the blob holds.
+        let mut past_end = blob.clone();
+        let count = 8 + 12 * (n - 1) + 8;
+        let claimed = u32::from_le_bytes(blob[count..count + 4].try_into().unwrap()) + 1;
+        past_end[count..count + 4].copy_from_slice(&claimed.to_le_bytes());
+        let truncated = blob[..blob.len() - 1].to_vec();
+        let trailing = [&blob[..], &[0]].concat();
+        for bad in [short, past_end, truncated, trailing] {
+            env.blobs().put(&key, &bad).unwrap();
+            for recover in recoveries {
+                let got = recover();
+                assert!(matches!(got, Err(Error::Corrupt(_))), "got {got:?}");
             }
         }
     }

@@ -15,7 +15,8 @@
 //! * **branch heads** — one document per branch in [`BRANCHES_COLLECTION`],
 //!   made crash-atomic by an ordinary commit record with approach
 //!   [`BRANCH_APPROACH`]. Branch commits flow through the same group
-//!   commit gate as saves, so concurrent forks coalesce into one fsync.
+//!   commit gate as saves, so concurrent forks coalesce into one
+//!   commit-record append (no store syncs to disk yet).
 //!   The document store is append-only, so advancing a head inserts a
 //!   new document, commits it, and only then retires the old one —
 //!   readers resolve ties by taking the highest committed document id.

@@ -56,7 +56,7 @@ pub fn export_set(env: &ManagementEnv, id: &ModelSetId) -> Result<Vec<u8>> {
         put_str(&mut buf, &node.id.key);
         put_str(&mut buf, &node.kind);
         put_str(&mut buf, &doc.to_string());
-        let keys = layout::node_blob_keys(&id.approach, &node.kind, doc_id);
+        let keys = layout::node_blob_keys(&id.approach, &node.kind, doc_id)?;
         put_u32(&mut buf, keys.len() as u32);
         for key in keys {
             let blob = env.blobs().get(&key)?;

@@ -26,8 +26,6 @@ pub enum SetKind {
     Full,
     /// Derived save holding only changed layers against a base set.
     Diff,
-    /// Derived save holding delta-compressed changed layers.
-    Diffz,
     /// Provenance save: training recipe instead of parameters.
     Prov,
     /// Unrecognized or missing `kind` field.
@@ -41,7 +39,6 @@ impl SetKind {
         match s {
             "full" => SetKind::Full,
             "diff" => SetKind::Diff,
-            "diffz" => SetKind::Diffz,
             "prov" => SetKind::Prov,
             _ => SetKind::Unknown,
         }
@@ -53,7 +50,6 @@ impl SetKind {
         match self {
             SetKind::Full => "full",
             SetKind::Diff => "diff",
-            SetKind::Diffz => "diffz",
             SetKind::Prov => "prov",
             SetKind::Unknown => "?",
         }
@@ -85,7 +81,7 @@ pub struct TierBytes {
 pub struct SetSummary {
     /// The set's id (usable with any saver of that approach).
     pub id: ModelSetId,
-    /// The set's shape (full / diff / diffz / prov).
+    /// The set's shape (full / diff / prov).
     pub kind: SetKind,
     /// Number of models in the set.
     pub n_models: usize,

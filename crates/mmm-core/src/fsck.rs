@@ -6,6 +6,8 @@
 //! the audits it shares with `verify` — the node audit and the hash
 //! audit, run here over every committed set:
 //!
+//! - **unknown kinds** — a committed set's document names a kind no saver
+//!   writes (e.g. `diffz`, whose codec is removed): nothing can read it,
 //! - **missing blobs** — a committed set references an absent artifact,
 //! - **dangling chains** — a derived set whose base document is gone or
 //!   was never committed,
@@ -55,8 +57,8 @@ const RESERVED_PREFIXES: [&str; 2] = [QUARANTINE_PREFIX, "cli/"];
 /// Document collection recording why each set was quarantined.
 pub const QUARANTINE_COLLECTION: &str = "quarantine";
 
-/// One classified problem found by [`fsck`]. `MissingBlob` and
-/// `DanglingChain` come from the node audit and `HashMismatch` from the
+/// One classified problem found by [`fsck`]. `UnknownKind`, `MissingBlob`
+/// and `DanglingChain` come from the node audit and `HashMismatch` from the
 /// hash audit, both shared with [`crate::verify::verify_set`] (which
 /// also reports an MMlib-base batch's missing rows as `DanglingCommit`);
 /// every other class needs the store-wide scan.
@@ -71,6 +73,14 @@ pub enum Damage {
         docs: Vec<u64>,
         /// Blob keys of the debris that exist on disk.
         blobs: Vec<String>,
+    },
+    /// Node audit: a committed set whose document names a kind no saver
+    /// of its approach writes, so no build of this code can recover it.
+    UnknownKind {
+        /// The unreadable set.
+        id: ModelSetId,
+        /// Which kind, and why it is unreadable.
+        detail: String,
     },
     /// Node audit: a committed set references a blob that does not exist
     /// (or, content-addressed, lacks a chunk).
@@ -136,6 +146,7 @@ impl Damage {
                 docs.len(),
                 blobs.len()
             ),
+            Damage::UnknownKind { id, detail } => format!("set {id}: {detail}"),
             Damage::MissingBlob { id, key } => format!("set {id}: missing blob {key}"),
             Damage::HashMismatch { id, detail } => format!("set {id}: hash mismatch ({detail})"),
             Damage::DanglingChain { id, detail } => format!("set {id}: dangling chain ({detail})"),
@@ -452,7 +463,8 @@ pub fn repair(env: &ManagementEnv, report: &FsckReport) -> Result<RepairReport> 
                 )?;
                 out.branches_quarantined += 1;
             }
-            Damage::MissingBlob { id, .. }
+            Damage::UnknownKind { id, .. }
+            | Damage::MissingBlob { id, .. }
             | Damage::HashMismatch { id, .. }
             | Damage::DanglingChain { id, .. } => {
                 if quarantined.insert((id.approach.clone(), id.key.clone())) {
@@ -799,6 +811,7 @@ mod tests {
             let damaged = |node: &ModelSetId| {
                 scan.damage.iter().any(|d| match d {
                     Damage::UncommittedSave { id, .. }
+                    | Damage::UnknownKind { id, .. }
                     | Damage::MissingBlob { id, .. }
                     | Damage::HashMismatch { id, .. }
                     | Damage::DanglingChain { id, .. }

@@ -10,10 +10,11 @@
 //! | baseline, provenance | full | `model_sets` | `{doc}` | `{approach}/{doc}/params.bin` |
 //! | provenance | prov | `model_sets` | `{doc}` | `provenance/{doc}/updates.jsonl` |
 //! | update | full | `model_sets` | `{doc}` | `update/{doc}/{params.bin, hashes.bin}` |
-//! | update | diff, diffz | `model_sets` | `{doc}` | `update/{doc}/{diff.bin, hashes.bin}` |
+//! | update | diff | `model_sets` | `{doc}` | `update/{doc}/{diff.bin, hashes.bin}` |
 //!
 //! A derived node names its base in the `base` field of its document;
-//! the base is a set of its own, not part of the node.
+//! the base is a set of its own, not part of the node. A kind the table
+//! does not list is no set this build can read: [`unknown_kind`].
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -127,20 +128,36 @@ pub(crate) fn mmlib_params_key(doc_id: u64) -> String {
     mmlib_key(doc_id, MMLIB_ARTIFACTS[0])
 }
 
+/// The artifacts of MMlib-base row `doc_id`, in the order they are put.
+pub(crate) fn mmlib_row_keys(doc_id: u64) -> Vec<String> {
+    MMLIB_ARTIFACTS
+        .map(|artifact| mmlib_key(doc_id, artifact))
+        .into()
+}
+
 /// The blobs a node of the given approach and document kind must have.
 /// An MMlib-base "node" is one per-model row (rows carry no kind). A
-/// pair no saver writes owns nothing.
-pub(crate) fn node_blob_keys(approach: &str, kind: &str, doc_id: u64) -> Vec<String> {
-    match (approach, kind) {
-        (MMLIB_BASE, _) => MMLIB_ARTIFACTS
-            .map(|artifact| mmlib_key(doc_id, artifact))
-            .into(),
+/// pair no saver writes is [`unknown_kind`].
+pub(crate) fn node_blob_keys(approach: &str, kind: &str, doc_id: u64) -> Result<Vec<String>> {
+    Ok(match (approach, kind) {
+        (MMLIB_BASE, _) => mmlib_row_keys(doc_id),
         ("baseline" | "provenance", "full") => vec![params_key(approach, doc_id)],
         ("provenance", "prov") => vec![updates_key(doc_id)],
         ("update", "full") => vec![params_key(approach, doc_id), hashes_key(doc_id)],
-        ("update", "diff" | "diffz") => vec![diff_key(doc_id), hashes_key(doc_id)],
-        _ => Vec::new(),
-    }
+        ("update", "diff") => vec![diff_key(doc_id), hashes_key(doc_id)],
+        _ => return Err(unknown_kind(approach, kind)),
+    })
+}
+
+/// The error for a set document whose `kind` no saver of `approach`
+/// writes. `diffz` sets were written by the §4.5 XOR-delta codec, which
+/// is removed; no decoder for them is kept (DESIGN.md §7).
+pub(crate) fn unknown_kind(approach: &str, kind: &str) -> Error {
+    let why = match kind {
+        "diffz" => "its §4.5 XOR-delta codec was removed, and no decoder is kept",
+        _ => "no saver writes it",
+    };
+    Error::corrupt(format!("{approach} set kind {kind:?} is unreadable: {why}"))
 }
 
 /// The documents and blobs one saved set owns (not its chain
@@ -222,8 +239,7 @@ impl MmlibBatch {
 
     /// Every blob the batch's rows must have.
     pub fn blob_keys(&self) -> impl Iterator<Item = String> {
-        let row_keys = |row| node_blob_keys(MMLIB_BASE, "", row);
-        self.doc_ids().flat_map(row_keys)
+        self.doc_ids().flat_map(mmlib_row_keys)
     }
 }
 
@@ -340,7 +356,7 @@ mod tests {
             "baseline",
             "update",
             "provenance",
-            "update:snapshot-every=2,delta",
+            "update:snapshot-every=2",
         ];
         for backend in [StorageBackend::Plain, StorageBackend::Cas] {
             let dir = TempDir::new("mmm-layout").unwrap();
@@ -360,7 +376,7 @@ mod tests {
                 }
                 for (doc_id, doc) in chain_docs(&env, &set.id).unwrap() {
                     let kind = doc["kind"].as_str().unwrap();
-                    let keys = node_blob_keys(&set.id.approach, kind, doc_id);
+                    let keys = node_blob_keys(&set.id.approach, kind, doc_id).unwrap();
                     assert!(!keys.is_empty(), "{}: no blobs for kind {kind}", set.id);
                     expected.extend(keys);
                 }
@@ -369,7 +385,7 @@ mod tests {
             assert_eq!(stored, expected, "{backend:?}");
             // Every kind the table knows was exercised.
             let kinds: BTreeSet<&str> = catalogued.iter().map(|s| s.kind.as_str()).collect();
-            assert_eq!(kinds, BTreeSet::from(["diff", "diffz", "full", "prov"]));
+            assert_eq!(kinds, BTreeSet::from(["diff", "full", "prov"]));
         }
     }
 

@@ -21,9 +21,8 @@
 //! recovers by bit-deterministically replaying training via
 //! [`apply_update::apply_update`].
 //!
-//! Extensions beyond the paper's evaluation, from its discussion section:
-//! [`advisor`] (heuristic approach choice, §4.5 future work) and
-//! [`delta`] (delta-encoding compression ablation, §4.5).
+//! Extension beyond the paper's evaluation, from its discussion section:
+//! [`advisor`] (heuristic approach choice, §4.5 future work).
 
 pub mod advisor;
 pub mod apply_update;
@@ -33,7 +32,6 @@ pub mod branch;
 pub mod bundle;
 pub mod catalog;
 pub mod commit;
-pub mod delta;
 pub mod env;
 pub mod fleet;
 pub mod fsck;

@@ -369,22 +369,16 @@ pub(crate) fn diff_directory_len(n: usize) -> Result<usize> {
         .ok_or_else(|| Error::corrupt(format!("diff of {n} entries overflows its directory")))
 }
 
-/// Parse the directory every diff blob (`DIFF`, or `DIFZ` if
-/// `compressed`) starts with: each entry's payload starts where the
-/// previous one ends, so its offset is a prefix sum over the head
-/// records. `head` is at least the directory (a ranged read of it, or
-/// the whole blob); `blob_len` is the whole blob's length, which the
-/// directory and payloads must tile exactly — so once this returns,
-/// every [`DiffSlot::range`] lies inside the blob. `Corrupt` otherwise,
-/// never a panic.
-pub(crate) fn parse_diff_directory(
-    head: &[u8],
-    compressed: bool,
-    blob_len: u64,
-) -> Result<Vec<DiffSlot>> {
-    let magic = if compressed { b"DIFZ" } else { b"DIFF" };
+/// Parse the directory every `DIFF` blob starts with: each entry's
+/// payload starts where the previous one ends, so its offset is a prefix
+/// sum over the head records. `head` is at least the directory (a ranged
+/// read of it, or the whole blob); `blob_len` is the whole blob's
+/// length, which the directory and payloads must tile exactly — so once
+/// this returns, every [`DiffSlot::range`] lies inside the blob.
+/// `Corrupt` otherwise, never a panic.
+pub(crate) fn parse_diff_directory(head: &[u8], blob_len: u64) -> Result<Vec<DiffSlot>> {
     let mut r = Reader::new(head);
-    if r.bytes(4)? != magic {
+    if r.bytes(4)? != b"DIFF" {
         return Err(Error::corrupt("bad diff magic"));
     }
     let n = r.u32_count(DIFF_HEAD_BYTES)?;
@@ -392,10 +386,9 @@ pub(crate) fn parse_diff_directory(
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let (model_idx, layer_idx, count) = (r.u32()?, r.u32()?, r.u32()? as usize);
-        // A plain entry counts f32s, a compressed one bytes.
         let start = end;
         end = count
-            .checked_mul(if compressed { 1 } else { 4 })
+            .checked_mul(4)
             .and_then(|len| start.checked_add(len))
             .ok_or_else(|| Error::corrupt("diff entry lengths overflow"))?;
         out.push(DiffSlot {
@@ -414,7 +407,7 @@ pub(crate) fn parse_diff_directory(
 
 /// Decode a diff file.
 pub fn decode_diff(bytes: &[u8]) -> Result<Vec<DiffEntry>> {
-    parse_diff_directory(bytes, false, bytes.len() as u64)?
+    parse_diff_directory(bytes, bytes.len() as u64)?
         .into_iter()
         .map(|e| {
             let data = Reader::new(&bytes[e.range.clone()]).f32_slice(e.range.len() / 4)?;
@@ -425,62 +418,6 @@ pub fn decode_diff(bytes: &[u8]) -> Result<Vec<DiffEntry>> {
             })
         })
         .collect()
-}
-
-/// One delta-compressed changed layer (Update's §4.5 compression
-/// extension): the payload is a [`crate::delta`] blob against the base
-/// set's layer values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompressedDiffEntry {
-    /// Model index within the set.
-    pub model_idx: u32,
-    /// Parametric layer index within the model.
-    pub layer_idx: u32,
-    /// Delta blob (decode with [`crate::delta::decompress_delta`]).
-    pub blob: Vec<u8>,
-}
-
-/// Encode a compressed diff file (magic `DIFZ`). `Invalid` if the entry
-/// count or any delta blob's length overflows the format's u32 prefixes.
-pub fn encode_diff_compressed(entries: &[CompressedDiffEntry]) -> Result<Vec<u8>> {
-    let n = u32::try_from(entries.len()).map_err(|_| {
-        Error::invalid(format!("{} compressed diff entries exceed the u32 prefix", entries.len()))
-    })?;
-    let total: usize = entries.iter().map(|e| e.blob.len()).sum();
-    let cap = total.saturating_add(12 * entries.len()).saturating_add(16);
-    let mut buf = Vec::with_capacity(cap);
-    buf.extend_from_slice(b"DIFZ");
-    put_u32(&mut buf, n);
-    for e in entries {
-        let len = u32::try_from(e.blob.len()).map_err(|_| {
-            Error::invalid(format!(
-                "compressed diff entry (model {}, layer {}) is {} bytes, exceeding the u32 prefix",
-                e.model_idx,
-                e.layer_idx,
-                e.blob.len()
-            ))
-        })?;
-        put_u32(&mut buf, e.model_idx);
-        put_u32(&mut buf, e.layer_idx);
-        put_u32(&mut buf, len);
-    }
-    for e in entries {
-        buf.extend_from_slice(&e.blob);
-    }
-    Ok(buf)
-}
-
-/// Decode a compressed diff file.
-pub fn decode_diff_compressed(bytes: &[u8]) -> Result<Vec<CompressedDiffEntry>> {
-    let dir = parse_diff_directory(bytes, true, bytes.len() as u64)?;
-    Ok(dir
-        .into_iter()
-        .map(|e| CompressedDiffEntry {
-            model_idx: e.model_idx,
-            layer_idx: e.layer_idx,
-            blob: bytes[e.range].to_vec(),
-        })
-        .collect())
 }
 
 #[cfg(test)]
@@ -577,27 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn compressed_diff_roundtrip() {
-        let entries = vec![
-            CompressedDiffEntry { model_idx: 1, layer_idx: 2, blob: vec![1, 2, 3] },
-            CompressedDiffEntry { model_idx: 9, layer_idx: 0, blob: vec![] },
-        ];
-        let blob = encode_diff_compressed(&entries).unwrap();
-        assert_eq!(decode_diff_compressed(&blob).unwrap(), entries);
-        // Empty file.
-        let empty = encode_diff_compressed(&[]).unwrap();
-        assert!(decode_diff_compressed(&empty).unwrap().is_empty());
-    }
-
-    #[test]
-    fn compressed_diff_rejects_wrong_magic_and_trailing() {
-        assert!(decode_diff_compressed(b"DIFF\x00\x00\x00\x00").is_err());
-        let mut blob = encode_diff_compressed(&[]).unwrap();
-        blob.push(7);
-        assert!(decode_diff_compressed(&blob).is_err());
-    }
-
-    #[test]
     fn diff_truncation_is_corrupt() {
         let entries = vec![DiffEntry { model_idx: 0, layer_idx: 0, data: vec![1.0; 10] }];
         let blob = encode_diff(&entries).unwrap();
@@ -628,7 +544,7 @@ mod tests {
         assert_eq!(head, 8 + 12 * 3);
         // The directory alone, checked against the whole blob's length,
         // locates every payload.
-        let dir = parse_diff_directory(&blob[..head], false, blob.len() as u64).unwrap();
+        let dir = parse_diff_directory(&blob[..head], blob.len() as u64).unwrap();
         assert_eq!(
             dir.iter().map(|e| e.range.clone()).collect::<Vec<_>>(),
             [44..56, 56..56, 56..76]
@@ -641,17 +557,19 @@ mod tests {
             );
         }
         // A short directory, or payloads that do not tile the blob, are
-        // corrupt; so is the other format's magic.
+        // corrupt; so is any other magic.
         for (bytes, len) in [
             (&blob[..head - 1], blob.len()),
             (&blob[..head], blob.len() - 4),
             (&blob[..], blob.len() + 1),
         ] {
-            let err = parse_diff_directory(bytes, false, len as u64).unwrap_err();
+            let err = parse_diff_directory(bytes, len as u64).unwrap_err();
             assert!(matches!(err, Error::Corrupt(_)), "got {err:?}");
         }
+        let mut other = blob.clone();
+        other[3] = b'Z';
         assert!(matches!(
-            parse_diff_directory(&blob, true, blob.len() as u64),
+            parse_diff_directory(&other, other.len() as u64),
             Err(Error::Corrupt(_))
         ));
     }
@@ -714,15 +632,12 @@ mod tests {
 
     #[test]
     fn diff_inflated_entry_count_is_corrupt() {
-        for magic in [b"DIFF", b"DIFZ"] {
-            let mut blob = Vec::new();
-            blob.extend_from_slice(magic);
-            put_u32(&mut blob, u32::MAX);
-            blob.extend_from_slice(&[0u8; 64]); // far fewer than claimed
-            let (diff, difz) = (decode_diff(&blob), decode_diff_compressed(&blob));
-            let err = if magic == b"DIFF" { diff.unwrap_err() } else { difz.unwrap_err() };
-            assert!(matches!(err, Error::Corrupt(_)), "got {err:?}");
-        }
+        let mut blob = Vec::new();
+        blob.extend_from_slice(b"DIFF");
+        put_u32(&mut blob, u32::MAX);
+        blob.extend_from_slice(&[0u8; 64]); // far fewer than claimed
+        let err = decode_diff(&blob).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "got {err:?}");
     }
 
     #[test]
@@ -732,7 +647,6 @@ mod tests {
         // length via the data path; here we at least pin the error type
         // for the reachable empty/valid cases.
         assert!(encode_diff(&[]).is_ok());
-        assert!(encode_diff_compressed(&[]).is_ok());
     }
 
     #[test]
@@ -808,17 +722,13 @@ mod tests {
             let _ = decode_hashes(&hashes[..cut.min(hashes.len())]);
             let diff = encode_diff(&[DiffEntry { model_idx: 0, layer_idx: 1, data: vec![1.0; 9] }]).unwrap();
             let _ = decode_diff(&diff[..cut.min(diff.len())]);
-            let difz = encode_diff_compressed(&[CompressedDiffEntry { model_idx: 0, layer_idx: 1, blob: vec![7; 9] }]).unwrap();
-            let _ = decode_diff_compressed(&difz[..cut.min(difz.len())]);
-            // The directory parser behind both: a cut read of the
+            // The directory parser behind it: a cut read of the
             // directory, or a cut blob, is `Corrupt` — never a panic.
-            for (blob, compressed) in [(&diff, false), (&difz, true)] {
-                let cut = cut.min(blob.len());
-                for (head, len) in [(&blob[..cut], blob.len()), (&blob[..cut], cut)] {
-                    let parsed = parse_diff_directory(head, compressed, len as u64);
-                    prop_assert!(matches!(parsed, Ok(_) | Err(Error::Corrupt(_))), "{parsed:?}");
-                    prop_assert!(parsed.is_err() || cut == blob.len() || (cut >= 20 && len == blob.len()));
-                }
+            let cut = cut.min(diff.len());
+            for (head, len) in [(&diff[..cut], diff.len()), (&diff[..cut], cut)] {
+                let parsed = parse_diff_directory(head, len as u64);
+                prop_assert!(matches!(parsed, Ok(_) | Err(Error::Corrupt(_))), "{parsed:?}");
+                prop_assert!(parsed.is_err() || cut == diff.len() || (cut >= 20 && len == diff.len()));
             }
         }
 
@@ -842,13 +752,13 @@ mod tests {
             let claimed = (inflate as u32).max(2);
             diff[4..8].copy_from_slice(&claimed.to_le_bytes());
             prop_assert!(decode_diff(&diff).is_err());
-            let parsed = parse_diff_directory(&diff, false, diff.len() as u64);
+            let parsed = parse_diff_directory(&diff, diff.len() as u64);
             prop_assert!(matches!(parsed, Err(Error::Corrupt(_))), "{parsed:?}");
             // Diff: the element count of the one entry, at offset 16.
             diff[4..8].copy_from_slice(&1u32.to_le_bytes());
             diff[16..20].copy_from_slice(&(inflate as u32).max(5).to_le_bytes());
             prop_assert!(decode_diff(&diff).is_err());
-            let parsed = parse_diff_directory(&diff[..20], false, diff.len() as u64);
+            let parsed = parse_diff_directory(&diff[..20], diff.len() as u64);
             prop_assert!(matches!(parsed, Err(Error::Corrupt(_))), "{parsed:?}");
         }
 
@@ -864,7 +774,7 @@ mod tests {
                 diff[pos] ^= xor;
                 let _ = decode_diff(&diff);
                 for head in [&diff[..], &diff[..diff.len().min(32)]] {
-                    let parsed = parse_diff_directory(head, false, diff.len() as u64);
+                    let parsed = parse_diff_directory(head, diff.len() as u64);
                     prop_assert!(matches!(parsed, Ok(_) | Err(Error::Corrupt(_))), "{parsed:?}");
                 }
             }

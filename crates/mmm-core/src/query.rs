@@ -77,7 +77,7 @@ use serde_json::Value;
 /// A string-valued record field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrField {
-    /// Set kind ("full", "diff", "diffz", "prov", "?").
+    /// Set kind ("full", "diff", "prov", "?").
     Kind,
     /// Saving approach ("baseline", "update", "provenance", "mmlib-base").
     Approach,
@@ -897,10 +897,8 @@ fn collect_needs(expr: &Expr, needs: &mut Needs) {
             collect_needs(a, needs);
             collect_needs(b, needs);
         }
-        Expr::SimilarTo(id, _) => {
-            if !needs.similar_refs.contains(id) {
-                needs.similar_refs.push(id.clone());
-            }
+        Expr::SimilarTo(id, _) if !needs.similar_refs.contains(id) => {
+            needs.similar_refs.push(id.clone());
         }
         _ => {}
     }

@@ -5,9 +5,9 @@
 //! audits (`Audit`), neither of which mutates anything, say whether a
 //! saved set is intact, in [`crate::fsck`]'s damage taxonomy:
 //!
-//! - the **node audit**: every blob the `layout` module says the node owns
-//!   is structurally recoverable, and a derived node's base exists and
-//!   is committed;
+//! - the **node audit**: the node's kind is one this build reads, every
+//!   blob the `layout` module says the node owns is structurally
+//!   recoverable, and a derived node's base exists and is committed;
 //! - the **hash audit** (Update sets): the persisted layer hashes match
 //!   the recovered parameters.
 //!
@@ -96,13 +96,21 @@ impl<'a> Audit<'a> {
         }
     }
 
-    /// The node audit of committed set document `doc_id`: the blobs its
-    /// `(approach, kind)` must have pass [`Audit::blobs`], and if it is
-    /// derived, its base is a known set document and committed.
+    /// The node audit of committed set document `doc_id`: its
+    /// `(approach, kind)` is one the layout knows, the blobs that pair
+    /// must have pass [`Audit::blobs`], and if it is derived, its base is
+    /// a known set document and committed.
     pub fn node(&mut self, approach: &str, doc_id: u64, doc: &Value) {
         let id = layout::set_id(approach, doc_id);
         let kind = doc.get("kind").and_then(Value::as_str).unwrap_or("?");
-        self.blobs(&id, layout::node_blob_keys(approach, kind, doc_id));
+        let keys = match layout::node_blob_keys(approach, kind, doc_id) {
+            Ok(keys) => keys,
+            Err(e) => {
+                let detail = e.to_string();
+                return self.flag(Damage::UnknownKind { id, detail });
+            }
+        };
+        self.blobs(&id, keys);
         let Some(base) = doc.get("base") else { return };
         let detail = match base.as_str().and_then(|s| s.parse::<u64>().ok()) {
             Some(b) if !self.set_docs.contains(&b) => format!("base document {b} is missing"),

@@ -87,7 +87,10 @@ impl DatasetRegistry {
         Ok(r)
     }
 
-    /// Load a dataset by reference.
+    /// Load a dataset by reference. The id is the content hash: a file
+    /// that no longer hashes to it, or whose sample count disagrees with
+    /// the reference, is `Corrupt` — a Provenance recovery must never
+    /// retrain on silently changed data.
     pub fn get(&self, r: &DatasetRef) -> Result<Dataset> {
         let path = self.path_for(&r.id);
         let bytes = fs::read(&path)
@@ -99,6 +102,13 @@ impl DatasetRegistry {
                 r.id,
                 ds.len(),
                 r.n_samples
+            )));
+        }
+        let hash = format!("{:016x}", ds.content_hash());
+        if hash != r.id {
+            return Err(Error::corrupt(format!(
+                "dataset {} now hashes to {hash}: its file is damaged",
+                r.id
             )));
         }
         Ok(ds)
@@ -296,6 +306,22 @@ mod tests {
         let mut r = reg.put(&reg_ds()).unwrap();
         r.n_samples = 99;
         assert!(matches!(reg.get(&r), Err(Error::Corrupt(_))));
+    }
+
+    #[test]
+    fn a_flipped_payload_byte_is_corrupt() {
+        let dir = TempDir::new("mmm-reg").unwrap();
+        let reg = DatasetRegistry::open(dir.path()).unwrap();
+        let r = reg.put(&reg_ds()).unwrap();
+        // Flip the last byte: a target value, so the length, the shape
+        // and the sample count all still check out.
+        let path = reg.path_for(&r.id);
+        let mut bytes = fs::read(&path).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x01;
+        fs::write(&path, &bytes).unwrap();
+        let err = reg.get(&r).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "got {err:?}");
+        assert!(err.to_string().contains(&r.id), "{err}");
     }
 
     #[test]

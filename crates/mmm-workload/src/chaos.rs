@@ -575,6 +575,8 @@ fn audit_round(
             | fsck::Damage::MissingBlob { .. }
             | fsck::Damage::HashMismatch { .. }
             | fsck::Damage::OrphanBranch { .. } => storm == Storm::DocFlip,
+            // No saver writes a kind the layout does not know.
+            fsck::Damage::UnknownKind { .. } => false,
         };
         if allowed {
             report.debris_entries += 1;

@@ -36,14 +36,14 @@
 //! `approach:key` (e.g. `update:3`).
 //!
 //! `--approach` takes an approach spec: a kind name optionally followed
-//! by `:options` (e.g. `update:snapshot-every=4,delta`). `--backend cas`
+//! by `:options` (e.g. `update:snapshot-every=4`). `--backend cas`
 //! stores parameter blobs content-addressed — identical layers across
 //! sets and versions are stored once — with an LRU recovery cache sized
 //! by `--cache-mb`. The backend choice is persisted in the environment
 //! and re-adopted on later invocations.
 //!
 //! Every command accepts `--threads N` to fan the save/recover hot
-//! paths (hashing, chunk encoding, delta compression, blob transfers)
+//! paths (hashing, chunk encoding, blob transfers)
 //! out over N worker threads. Stored bytes and reported simulated
 //! times are identical for every `N`; only wall-clock time changes.
 //!
@@ -90,7 +90,7 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}\n");
     }
     eprintln!(
-        "usage:\n  mmm init    --dir D [--models N] [--arch ffnn48|ffnn69|cifar] [--approach SPEC] [--seed S] [--backend plain|cas|tiered] [--cache-mb N]\n  mmm update  --dir D [--rate R] [--divergence]\n  mmm list    --dir D\n  mmm lineage --dir D <set-id>\n  mmm verify  --dir D <set-id>\n  mmm fsck    --dir D [--repair] [--salvage]\n  mmm recover --dir D <set-id>\n  mmm gc      --dir D --keep-last K\n  mmm fork    --dir D <set-id|branch> <name> [--at N]\n  mmm diff    --dir D <a> <b>          (set ids or branch names)\n  mmm merge   --dir D <base> <ours> <theirs> [--into BRANCH]\n  mmm branch  --dir D [--delete NAME]\n  mmm log     --dir D [--graph] [<set-id|branch>]\n  mmm export  --dir D <set-id> <file>\n  mmm import  --dir D <file>\n  mmm advise  [--priority storage|recovery|balanced]\n  mmm stats   [--models N] [--cycles K] [--setup zero|m1|server] [--trace-out F] [--metrics-out F] [--from-trace F]\n  mmm chaos   [--dir D] [--seed S] [--rounds N] [--threads T] [--iters I] [--tenants K] [--deadline-ms MS] [--commit-window-ms MS] [--report-out F] [--bench-out F]\n  mmm tier    --dir D [--keep-hot K] | --promote <set-id>\n  mmm tag     --dir D <set-id> [<tag>]\n  mmm find-tag --dir D <tag>\n  mmm query   --dir D <expr> [--json]\n  mmm serve-obs [--listen ADDR] [--duration-ms MS] [--seed S]\n  mmm top     <addr>\n\nquery exprs combine and/or/not/parens over kind, approach, key, base,\nn_models, depth, bytes (50MB etc.), tag:NAME, branch:NAME,\ndescendant-of(ID), similar-to(ID, 0.9)\napproach SPEC = kind[:opts], e.g. update, update:delta, update:snapshot-every=4,delta\nall commands accept --threads N (parallel save/recover; default 1),\n--backend/--cache-mb (an environment keeps the backend it was created with),\nand --obs-listen ADDR (serve /metrics /healthz /tenants for this run)"
+        "usage:\n  mmm init    --dir D [--models N] [--arch ffnn48|ffnn69|cifar] [--approach SPEC] [--seed S] [--backend plain|cas|tiered] [--cache-mb N]\n  mmm update  --dir D [--rate R] [--divergence]\n  mmm list    --dir D\n  mmm lineage --dir D <set-id>\n  mmm verify  --dir D <set-id>\n  mmm fsck    --dir D [--repair] [--salvage]\n  mmm recover --dir D <set-id>\n  mmm gc      --dir D --keep-last K\n  mmm fork    --dir D <set-id|branch> <name> [--at N]\n  mmm diff    --dir D <a> <b>          (set ids or branch names)\n  mmm merge   --dir D <base> <ours> <theirs> [--into BRANCH]\n  mmm branch  --dir D [--delete NAME]\n  mmm log     --dir D [--graph] [<set-id|branch>]\n  mmm export  --dir D <set-id> <file>\n  mmm import  --dir D <file>\n  mmm advise  [--priority storage|recovery|balanced]\n  mmm stats   [--models N] [--cycles K] [--setup zero|m1|server] [--trace-out F] [--metrics-out F] [--from-trace F]\n  mmm chaos   [--dir D] [--seed S] [--rounds N] [--threads T] [--iters I] [--tenants K] [--deadline-ms MS] [--commit-window-ms MS] [--report-out F] [--bench-out F]\n  mmm tier    --dir D [--keep-hot K] | --promote <set-id>\n  mmm tag     --dir D <set-id> [<tag>]\n  mmm find-tag --dir D <tag>\n  mmm query   --dir D <expr> [--json]\n  mmm serve-obs [--listen ADDR] [--duration-ms MS] [--seed S]\n  mmm top     <addr>\n\nquery exprs combine and/or/not/parens over kind, approach, key, base,\nn_models, depth, bytes (50MB etc.), tag:NAME, branch:NAME,\ndescendant-of(ID), similar-to(ID, 0.9)\napproach SPEC = kind[:opts], e.g. update, update:snapshot-every=4\nall commands accept --threads N (parallel save/recover; default 1),\n--backend/--cache-mb (an environment keeps the backend it was created with),\nand --obs-listen ADDR (serve /metrics /healthz /tenants for this run)"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -14,8 +14,7 @@
 //!   [`core::approach::ProvenanceSaver`] model-set savers plus the
 //!   recovery engine (full, selective, and batch with memoized chains),
 //!   lineage tracking, integrity verification, lineage-aware GC,
-//!   portable bundles, set tagging, a catalog, delta compression, and
-//!   the approach advisor.
+//!   portable bundles, set tagging, a catalog, and the approach advisor.
 //! * [`dnn`] / [`tensor`] — a deterministic, dependency-free deep-learning
 //!   substrate (the paper's PyTorch stand-in).
 //! * [`battery`] — the car-battery running example: a second-order

@@ -389,18 +389,16 @@ fn approach_specs_round_trip_through_their_canonical_form() {
         "baseline",
         "provenance",
         "update",
-        "update:delta",
         "update:snapshot-every=4",
-        "update:snapshot-every=4,delta",
     ] {
         let spec = ApproachSpec::parse(s).unwrap();
         assert_eq!(spec.to_string(), s, "canonical form is stable");
         assert_eq!(ApproachSpec::parse(&spec.to_string()).unwrap(), spec, "round trip");
         assert_eq!(spec.build().name(), spec.kind.name(), "built saver reports the kind");
     }
-    // Whitespace and option order are normalized.
-    let spec = ApproachSpec::parse(" update : delta , snapshot-every=4 ").unwrap();
-    assert_eq!(spec.to_string(), "update:snapshot-every=4,delta");
+    // Whitespace and empty options are normalized.
+    let spec = ApproachSpec::parse(" update : snapshot-every=4 , ").unwrap();
+    assert_eq!(spec.to_string(), "update:snapshot-every=4");
 
     for bad in [
         "nope",
@@ -409,7 +407,16 @@ fn approach_specs_round_trip_through_their_canonical_form() {
         "update:snapshot-every=0",
         "update:snapshot-every=x",
         "update:bogus",
+        // The §4.5 XOR-delta codec is removed.
+        "update:delta",
+        "update:snapshot-every=4,delta",
     ] {
         assert!(ApproachSpec::parse(bad).is_err(), "{bad:?} must be rejected");
     }
+    let err = ApproachSpec::parse("update:delta").unwrap_err();
+    assert!(matches!(err, mmm::util::Error::Invalid(_)), "{err:?}");
+    assert!(
+        err.to_string().ends_with("(expected 'snapshot-every=K')"),
+        "{err}"
+    );
 }

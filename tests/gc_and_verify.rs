@@ -104,3 +104,87 @@ fn divergence_driven_workload_roundtrips_like_random() {
         .unwrap();
     assert_eq!(saver.recover_set(&env, &id1).unwrap(), set);
 }
+
+/// A lake written before the §4.5 XOR-delta codec was removed can hold
+/// `diffz` sets. No decoder for them is kept: recovering one is
+/// `Corrupt` and names the kind and the codec, the node audit flags it,
+/// and repair parks its bytes under `quarantine/` instead of deleting
+/// them. The set is written by hand, as the removed saver laid it out.
+#[test]
+fn legacy_diffz_sets_are_refused_and_their_bytes_kept() {
+    use mmm::core::approach::SETS_COLLECTION;
+    use mmm::core::model_set::{ModelSet, ModelSetId};
+    use mmm::core::{commit, fsck};
+    use mmm::util::Error;
+
+    let dir = TempDir::new("it-legacy-diffz").unwrap();
+    let env = ManagementEnv::open(dir.path(), LatencyProfile::zero()).unwrap();
+    let arch = Architectures::ffnn(6);
+    let models = (0..4).map(|i| arch.build(i).export_param_dict()).collect();
+    let base_set = ModelSet::new(arch, models);
+    let mut saver = UpdateSaver::new();
+    let base = saver.save_initial(&env, &base_set).unwrap();
+
+    let doc = serde_json::json!({
+        "approach": "update", "kind": "diffz", "base": base.key,
+        "n_models": 4, "n_changed_layers": 1, "depth": 1,
+    });
+    let doc_id = env.docs().insert(SETS_COLLECTION, doc).unwrap();
+    // Magic, one entry (model 0, layer 1, 7 payload bytes), then the
+    // entry's XOR-delta stream: varints for the word count (1), a zero
+    // run (0) and a nonzero run (1), then the one XOR word.
+    let mut difz = b"DIFZ".to_vec();
+    for field in [1u32, 0, 1, 7] {
+        difz.extend_from_slice(&field.to_le_bytes());
+    }
+    difz.extend_from_slice(&[1, 0, 1, 0, 0, 0x80, 0]);
+    let hashes = env
+        .blobs()
+        .get(&format!("update/{}/hashes.bin", base.key))
+        .unwrap();
+    let diff_key = format!("update/{doc_id}/diff.bin");
+    let hashes_key = format!("update/{doc_id}/hashes.bin");
+    env.blobs().put(&diff_key, &difz).unwrap();
+    env.blobs().put(&hashes_key, &hashes).unwrap();
+    let id = ModelSetId {
+        approach: "update".into(),
+        key: doc_id.to_string(),
+    };
+    commit::commit_save(&env, &id).unwrap();
+
+    let refused = |got: mmm::util::Result<Vec<mmm::dnn::ParamDict>>| match got {
+        Err(Error::Corrupt(msg)) => {
+            assert!(msg.contains("\"diffz\"") && msg.contains("§4.5"), "{msg}");
+        }
+        other => panic!("a diffz set must be Corrupt, got {other:?}"),
+    };
+    refused(saver.recover_set(&env, &id).map(|s| s.models));
+    refused(saver.recover_models(&env, &id, &[0, 2]));
+
+    let report = verify::verify_set(&env, &id).unwrap();
+    assert!(
+        report.issues.iter().any(|i| i.contains("diffz")),
+        "{:?}",
+        report.issues
+    );
+    let scan = fsck::fsck(&env).unwrap();
+    assert!(
+        matches!(&scan.damage[..], [fsck::Damage::UnknownKind { id: got, detail }]
+            if *got == id && detail.contains("§4.5")),
+        "{:?}",
+        scan.damage
+    );
+
+    let repaired = fsck::repair(&env, &scan).unwrap();
+    assert_eq!(repaired.sets_quarantined, 1);
+    for (key, bytes) in [(&diff_key, &difz), (&hashes_key, &hashes)] {
+        assert!(!env.blobs().exists(key), "{key} left in the live key space");
+        let parked = env
+            .blobs()
+            .get(&format!("{}{key}", fsck::QUARANTINE_PREFIX))
+            .unwrap();
+        assert_eq!(&parked, bytes, "{key} kept byte for byte");
+    }
+    assert!(fsck::fsck(&env).unwrap().is_clean());
+    assert_eq!(saver.recover_set(&env, &base).unwrap(), base_set);
+}

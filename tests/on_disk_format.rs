@@ -44,12 +44,12 @@ const CONFIGS: [(&str, StorageBackend, Option<usize>); 3] = [
 ];
 
 /// Approach specs per config: the paper's four everywhere, plus the
-/// snapshotting + XOR-delta Update variant once (it exercises the
-/// depth-tagged full snapshot and the compressed diff replay).
+/// snapshotting Update variant once (it exercises the depth-tagged full
+/// snapshot in the middle of a chain).
 fn specs(config: &str) -> Vec<&'static str> {
     let mut specs = vec!["mmlib-base", "baseline", "update", "provenance"];
     if config == "plain" {
-        specs.push("update:snapshot-every=2,delta");
+        specs.push("update:snapshot-every=2");
     }
     specs
 }

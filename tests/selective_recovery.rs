@@ -170,8 +170,8 @@ fn update_chain(
 
 /// The equivalence law of selective recovery: recovering `picks` gives
 /// exactly `picks` mapped over the whole recovered set — for every
-/// chain node, on every backend, with and without delta compression
-/// and intermediate snapshots, at one and at four threads.
+/// chain node, on every backend, with and without intermediate
+/// snapshots, at one and at four threads.
 #[test]
 fn selective_recovery_equals_the_whole_set_indexed_by_the_picks() {
     for backend in [
@@ -179,7 +179,7 @@ fn selective_recovery_equals_the_whole_set_indexed_by_the_picks() {
         StorageBackend::Cas,
         StorageBackend::Tiered,
     ] {
-        for spec in ["update", "update:delta", "update:snapshot-every=3"] {
+        for spec in ["update", "update:snapshot-every=3"] {
             for threads in [1, 4] {
                 let what = format!("{} {spec} threads={threads}", backend.name());
                 let dir = TempDir::new("it-selective-law").unwrap();

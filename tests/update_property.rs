@@ -46,11 +46,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any chain of arbitrary mutations recovers bit-exactly at every
-    /// level, with and without delta compression.
+    /// level.
     #[test]
     fn arbitrary_chains_roundtrip(
         mutations in proptest::collection::vec(arb_mutation(), 1..4),
-        compressed in any::<bool>(),
     ) {
         let dir = TempDir::new("prop-update").unwrap();
         let env = ManagementEnv::open(dir.path(), LatencyProfile::zero()).unwrap();
@@ -58,11 +57,7 @@ proptest! {
         let models = (0..N_MODELS).map(|i| arch.build(i as u64).export_param_dict()).collect();
         let mut set = ModelSet::new(arch, models);
 
-        let mut saver = if compressed {
-            UpdateSaver::new().with_delta_compression()
-        } else {
-            UpdateSaver::new()
-        };
+        let mut saver = UpdateSaver::new();
         let mut ids = vec![saver.save_initial(&env, &set).unwrap()];
         let mut snapshots = vec![set.clone()];
         for m in &mutations {
